@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 command evaluated (whatever the answer), 2 parse or
-validation error, 3 oracle/fragment mismatch, 4 trim inapplicable.
+Exit codes: 0 command evaluated (whatever the answer) or output pipe
+closed by the reader, 2 parse or validation error or input nested too
+deeply, 3 oracle/fragment mismatch, 4 trim inapplicable.
 """
 
 from __future__ import annotations
@@ -207,6 +208,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone, as when --limit stops early; point stdout at
+        # the null device so the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

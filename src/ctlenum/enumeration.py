@@ -26,18 +26,15 @@ from .kripke import (
     DELETE,
     KEEP,
     CompiledModel,
-    Element,
     KripkeModel,
     PartialDecision,
     Submodel,
-    WorldElement,
     _bits,
     compile_model,
-    ground_set,
     require_valid,
-    restrict,
+    structure_masks,
 )
-from .modelcheck import check, label_masks
+from .modelcheck import label_masks
 
 
 class OracleKind(Enum):
@@ -257,12 +254,10 @@ def _oracle_afag(
         # deletions only: a satisfying submodel exists iff a connected
         # one does, and every connected one lives inside this closure
         cl = c.closure(del_w, del_e, connected=True)
-        if cl is None:
+        if cl is None or not _exists_afag_masks(c, *cl, form):
             return False, None
-        if not _exists_afag_masks(c, cl[0], cl[1], form):
-            return False, None
-        lasso = _lasso_masks(c, cl[0], cl[1], form)
-        return True, c.masks_of(lasso.induced_submodel())
+        stem, cycle = _lasso_masks(c, *cl, form)
+        return True, _walk_masks(c, stem + cycle + cycle[:1])
     if ctx.connected and form.shape == "AG":
         # AG x solutions consist of x-labeled worlds only
         labeled = c.label_worlds.get(form.atom, 0)
@@ -335,7 +330,6 @@ class EnumerationSession:
         self.stats = EnumerationStats()
         self._witness: tuple[int, int] | None = None
         self._calls_in_gap = 0
-        self._emitted = 0
         self._stopped = False
         self._finished = False
 
@@ -354,8 +348,7 @@ class EnumerationSession:
                 self.stats.oracle_calls.append(self._calls_in_gap)
                 self.stats.solutions += 1
                 self._calls_in_gap = 0
-                self._emitted += 1
-                if self._limit is not None and self._emitted >= self._limit:
+                if self._limit is not None and self.stats.solutions >= self._limit:
                     self._stopped = True
                 yield self._ctx.compiled.submodel(sol_w, sol_e)
                 last = time.perf_counter_ns()
@@ -420,55 +413,39 @@ def enumerate_submodels(
 def _query_masks(query: ExtensionQuery) -> tuple[_Context, int, int, int, int]:
     require_valid(query.model)
     ctx = _Context(query.model, query.formula, query.connected)
-    elements = ground_set(query.model)
-    if len(query.decision.states) != len(elements):
+    if len(query.decision.states) != len(ctx.positions):
         raise ValueError("decision vector length does not match the ground set")
     keep_w = keep_e = del_w = del_e = 0
-    for element, state in zip(elements, query.decision.states):
+    for (wbit, ebit), state in zip(ctx.positions, query.decision.states):
         if state == KEEP:
-            wbit, ebit = _element_bits(ctx.compiled, element)
             keep_w |= wbit
             keep_e |= ebit
         elif state == DELETE:
-            wbit, ebit = _element_bits(ctx.compiled, element)
             del_w |= wbit
             del_e |= ebit
     return ctx, keep_w, keep_e, del_w, del_e
 
 
-def _element_bits(compiled: CompiledModel, element: Element) -> tuple[int, int]:
-    if isinstance(element, WorldElement):
-        return 1 << compiled.index[element.id], 0
-    key = (compiled.index[element.source], compiled.index[element.target])
-    return 0, 1 << compiled.edge_index[key]
+def _extend(kind: OracleKind, query: ExtensionQuery) -> bool:
+    ctx, *masks = _query_masks(query)
+    return _ORACLES[resolve_oracle(kind, ctx)](ctx, *masks)[0]
 
 
 def extend_exhaustive(query: ExtensionQuery) -> bool:
     """Search-based extension decision; correct for full CTL."""
-    ctx, *masks = _query_masks(query)
-    return _oracle_exhaustive(ctx, *masks)[0]
+    return _extend(OracleKind.EXHAUSTIVE, query)
 
 
 def extend_monotone(query: ExtensionQuery) -> bool:
     """Polynomial extension decision for the negation-free existential
     fragment: satisfaction of the maximal surviving submodel decides."""
-    ctx, *masks = _query_masks(query)
-    if not ctx.profile.monotone_existential:
-        raise OracleFragmentMismatch(
-            "monotone oracle needs a negation-free existential formula"
-        )
-    return _oracle_monotone(ctx, *masks)[0]
+    return _extend(OracleKind.MONOTONE, query)
 
 
 def extend_afag(query: ExtensionQuery) -> bool:
     """Extension decision for AF/AG chains; polynomial on the fast paths
     (no keep commitments, or AG-form keeps), exhaustive otherwise."""
-    ctx, *masks = _query_masks(query)
-    if ctx.trimmed is None:
-        raise OracleFragmentMismatch(
-            "afag oracle needs an AF/AG chain with at least one operator"
-        )
-    return _oracle_afag(ctx, *masks)[0]
+    return _extend(OracleKind.AFAG, query)
 
 
 def exists_submodel(model: KripkeModel, phi: F.Formula) -> bool:
@@ -507,21 +484,12 @@ def brute_force_enumerate(
                 allowed |= 1 << e
         emask = allowed
         while True:
-            if _valid_masks(c, wmask, emask, connected) and ctx.satisfies(wmask, emask):
+            if c.valid(wmask, emask, connected) and ctx.satisfies(wmask, emask):
                 solutions.add(c.submodel(wmask, emask))
             if emask == 0:
                 break
             emask = (emask - 1) & allowed
     return solutions
-
-
-def _valid_masks(c: CompiledModel, wmask: int, emask: int, connected: bool) -> bool:
-    for w in _bits(wmask):
-        if not c.out_mask[w] & emask:
-            return False
-    if connected and c.reach(emask, c.root) & wmask != wmask:
-        return False
-    return True
 
 
 # --- four-form decision and witnesses ---------------------------------------------
@@ -531,37 +499,10 @@ def exists_afag(
     model: KripkeModel, form: F.TrimmedForm, sub: Submodel | None = None
 ) -> bool:
     """Does any valid connected submodel of the structure satisfy the
-    four-form formula? Decided by plain model checking; the AG AF case
-    relabels x-worlds uniquely and asks one reach-and-revisit query per
-    x-world."""
-    structure = restrict(model, sub) if sub is not None else model
-    require_valid(structure)
-    x = F.Atom(form.atom)
-    if form.shape == "AF":
-        return check(structure, F.EF(x))
-    if form.shape == "AG":
-        return check(structure, F.EG(x))
-    if form.shape == "AFAG":
-        return check(structure, F.EF(F.EG(x)))
-    relabeled, fresh = _relabel_x_worlds(structure, form.atom)
-    return any(
-        check(relabeled, F.EF(F.And(F.Atom(name), F.EX(F.EF(F.Atom(name))))))
-        for name in fresh
-    )
-
-
-def _relabel_x_worlds(model: KripkeModel, atom: str) -> tuple[KripkeModel, list[str]]:
-    """Fresh unique label per x-world; all original labels are dropped."""
-    worlds = []
-    fresh = []
-    for world in model.worlds:
-        if atom in world.labels:
-            name = f"x_{world.id}"
-            fresh.append(name)
-            worlds.append((world.id, [name]))
-        else:
-            worlds.append((world.id, []))
-    return KripkeModel.of(worlds, model.edges, model.root), fresh
+    four-form formula? Decided on the structure's masks: the E-twin of the
+    form (EF x, EG x, EF EG x) at the root, and for AG AF a root-reachable
+    x-world on a cycle."""
+    return _exists_afag_masks(*structure_masks(model, sub), form)
 
 
 def _exists_afag_masks(
@@ -582,8 +523,8 @@ def _exists_afag_masks(
 def _agaf_witness_world(
     c: CompiledModel, wmask: int, emask: int, atom: str
 ) -> int | None:
-    """First x-world that is root-reachable and lies on a cycle; this is
-    the acceptance condition of the relabeled reach-and-revisit checks."""
+    """First x-world that is root-reachable and lies on a cycle: a lasso
+    through it keeps visiting x."""
     labeled = c.label_worlds.get(atom, 0) & wmask
     if not labeled:
         return None
@@ -663,8 +604,9 @@ def _splice_stem(succ: list[int], root: int, cycle: list[int]) -> tuple[list[int
 
 def _lasso_masks(
     c: CompiledModel, wmask: int, emask: int, form: F.TrimmedForm
-) -> Lasso:
-    """Witness construction per form; assumes the existence check passed."""
+) -> tuple[list[int], list[int]]:
+    """Witness (stem, cycle) world-index walks per form; assumes the
+    existence check passed."""
     succ = c.successor_masks(emask)
     x_worlds = c.label_worlds.get(form.atom, 0) & wmask
     if form.shape == "AF":
@@ -695,20 +637,29 @@ def _lasso_masks(
             if best is None or len(candidate) < len(best):
                 best = candidate
         stem, cycle = _splice_stem(succ, c.root, best)
-    return Lasso(
-        stem=tuple(c.ids[i] for i in stem),
-        cycle=tuple(c.ids[i] for i in cycle),
-    )
+    return stem, cycle
+
+
+def _walk_masks(c: CompiledModel, walk: list[int]) -> tuple[int, int]:
+    """World and edge masks of the steps along a walk."""
+    wmask = emask = 0
+    for a, b in zip(walk, walk[1:]):
+        wmask |= 1 << a
+        emask |= 1 << c.edge_index[(a, b)]
+    return wmask, emask
 
 
 def extract_lasso_witness(
     model: KripkeModel, form: F.TrimmedForm, sub: Submodel | None = None
 ) -> Lasso | None:
     """A lasso whose induced submodel satisfies the four-form formula,
-    or None when no submodel of the structure can."""
-    structure = restrict(model, sub) if sub is not None else model
-    require_valid(structure)
-    c = compile_model(structure)
-    if not _exists_afag_masks(c, c.all_worlds, c.all_edges, form):
+    or None when no submodel of the structure (the model, or sub within
+    it) can."""
+    c, wmask, emask = structure_masks(model, sub)
+    if not _exists_afag_masks(c, wmask, emask, form):
         return None
-    return _lasso_masks(c, c.all_worlds, c.all_edges, form)
+    stem, cycle = _lasso_masks(c, wmask, emask, form)
+    return Lasso(
+        stem=tuple(c.ids[i] for i in stem),
+        cycle=tuple(c.ids[i] for i in cycle),
+    )

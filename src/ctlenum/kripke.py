@@ -177,21 +177,14 @@ def submodel_equal(a: Submodel, b: Submodel) -> bool:
 
 
 def is_valid_submodel(model: KripkeModel, sub: Submodel, connected: bool = True) -> bool:
-    """Structural check of the submodel invariants against its parent."""
-    ids = {w.id for w in model.worlds}
-    if not sub.worlds or model.root not in sub.worlds or not sub.worlds <= ids:
+    """Structural check of the submodel invariants against its parent;
+    False for a world or edge the model lacks."""
+    compiled = compile_model(model)
+    try:
+        masks = compiled.masks_of(sub)
+    except UnknownWorld:
         return False
-    model_edges = set(model.edges)
-    out = {w: False for w in sub.worlds}
-    for src, dst in sub.edges:
-        if (src, dst) not in model_edges or src not in sub.worlds or dst not in sub.worlds:
-            return False
-        out[src] = True
-    if not all(out.values()):
-        return False
-    if connected:
-        return reachable_set(model, model.root, sub) == sub.worlds
-    return True
+    return compiled.valid(*masks, connected)
 
 
 def restrict(model: KripkeModel, sub: Submodel) -> KripkeModel:
@@ -211,21 +204,35 @@ def reachable_set(
     model: KripkeModel, start: str, sub: Submodel | None = None
 ) -> set[str]:
     """Worlds reachable from start via zero or more kept edges."""
-    worlds = sub.worlds if sub is not None else {w.id for w in model.worlds}
-    if start not in worlds:
+    compiled = compile_model(model)
+    if sub is None:
+        wmask, emask = compiled.all_worlds, compiled.all_edges
+    else:
+        wmask, emask = compiled.masks_of(sub)
+    if not wmask & compiled.world_bit(start):
         raise UnknownWorld(start)
-    edges = sub.edges if sub is not None else model.edges
-    succ: dict[str, list[str]] = {}
-    for src, dst in edges:
-        succ.setdefault(src, []).append(dst)
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in succ.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+    reached = compiled.reach(emask, compiled.index[start])
+    return {compiled.ids[w] for w in _bits(reached)}
+
+
+def structure_masks(
+    model: KripkeModel, sub: Submodel | None = None
+) -> tuple[CompiledModel, int, int]:
+    """The compiled model with the world and edge masks of sub, or of the
+    whole model when sub is None. InvalidModelError unless the structure
+    is a valid (not necessarily connected) submodel of the model."""
+    if sub is None:
+        require_valid(model)
+        compiled = compile_model(model)
+        return compiled, compiled.all_worlds, compiled.all_edges
+    compiled = compile_model(model)
+    try:
+        wmask, emask = compiled.masks_of(sub)
+    except UnknownWorld as exc:
+        raise InvalidModelError(f"submodel names {exc} outside the model") from exc
+    if not compiled.valid(wmask, emask, connected=False):
+        raise InvalidModelError("not a valid submodel of the given model")
+    return compiled, wmask, emask
 
 
 # --- closure -------------------------------------------------------------------
@@ -240,21 +247,7 @@ def closure(
     unreachable from the root when connected is set, to a fixed point.
     """
     compiled = compile_model(model)
-    del_worlds = 0
-    del_edges = 0
-    for element in deleted:
-        if isinstance(element, WorldElement):
-            if element.id == model.root:
-                raise RootDeleted(element.id)
-            if element.id not in compiled.index:
-                raise UnknownWorld(element.id)
-            del_worlds |= 1 << compiled.index[element.id]
-        else:
-            key = (compiled.index.get(element.source), compiled.index.get(element.target))
-            if key not in compiled.edge_index:
-                raise UnknownWorld(f"{element.source}->{element.target}")
-            del_edges |= 1 << compiled.edge_index[key]
-    masks = compiled.closure(del_worlds, del_edges, connected)
+    masks = compiled.closure(*compiled.deletion_masks(deleted), connected)
     if masks is None:
         return None
     return compiled.submodel(*masks)
@@ -293,10 +286,13 @@ class CompiledModel:
         self.ids = [w.id for w in model.worlds]
         self.index = {wid: i for i, wid in enumerate(self.ids)}
         self.n = len(self.ids)
-        self.root = self.index[model.root]
-        self.edges = sorted(
-            (self.index[s], self.index[t]) for s, t in model.edges
-        )
+        try:
+            self.root = self.index[model.root]
+            self.edges = sorted(
+                (self.index[s], self.index[t]) for s, t in model.edges
+            )
+        except KeyError as exc:
+            raise InvalidModelError(f"model names missing world {exc}") from exc
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.m = len(self.edges)
         self.out_mask = [0] * self.n
@@ -324,14 +320,55 @@ class CompiledModel:
             ),
         )
 
+    def world_bit(self, wid: str) -> int:
+        i = self.index.get(wid)
+        if i is None:
+            raise UnknownWorld(wid)
+        return 1 << i
+
+    def edge_bit(self, src: str, dst: str) -> int:
+        e = self.edge_index.get((self.index.get(src), self.index.get(dst)))
+        if e is None:
+            raise UnknownWorld(f"{src}->{dst}")
+        return 1 << e
+
     def masks_of(self, sub: Submodel) -> tuple[int, int]:
+        """World and edge masks of sub; UnknownWorld for an element the
+        model lacks."""
         wmask = 0
         for wid in sub.worlds:
-            wmask |= 1 << self.index[wid]
+            wmask |= self.world_bit(wid)
         emask = 0
         for s, t in sub.edges:
-            emask |= 1 << self.edge_index[(self.index[s], self.index[t])]
+            emask |= self.edge_bit(s, t)
         return wmask, emask
+
+    def deletion_masks(self, deleted: Iterable[Element]) -> tuple[int, int]:
+        """World and edge masks of a deletion set; RootDeleted for the
+        root, UnknownWorld for an element the model lacks."""
+        del_worlds = del_edges = 0
+        for element in deleted:
+            if isinstance(element, WorldElement):
+                if element.id == self.model.root:
+                    raise RootDeleted(element.id)
+                del_worlds |= self.world_bit(element.id)
+            else:
+                del_edges |= self.edge_bit(element.source, element.target)
+        return del_worlds, del_edges
+
+    def valid(self, wmask: int, emask: int, connected: bool) -> bool:
+        """Submodel invariants on masks: the root is kept, kept edges join
+        kept worlds, every kept world has a kept outgoing edge, and with
+        connected set every kept world is reachable from the root."""
+        if not wmask >> self.root & 1:
+            return False
+        for w in _bits(wmask):
+            if not self.out_mask[w] & emask:
+                return False
+        for w in _bits(self.all_worlds & ~wmask):
+            if (self.out_mask[w] | self.in_mask[w]) & emask:
+                return False
+        return not connected or self.reach(emask, self.root) == wmask
 
     def reach(self, emask: int, start: int) -> int:
         """Mask of worlds reachable from start over the kept edges;

@@ -11,15 +11,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import formula as F
-from .errors import InvalidModelError
-from .kripke import (
-    CompiledModel,
-    KripkeModel,
-    Submodel,
-    compile_model,
-    is_valid_submodel,
-    _bits,
-)
+from .kripke import CompiledModel, KripkeModel, Submodel, _bits, structure_masks
 
 LabelingResult = dict[F.Formula, frozenset[str]]
 
@@ -112,24 +104,11 @@ def label_masks(
     return memo
 
 
-def _structure(model: KripkeModel, sub: Submodel | None) -> tuple[CompiledModel, int, int]:
-    compiled = compile_model(model)
-    if sub is None:
-        for w in range(compiled.n):
-            if not compiled.out_mask[w]:
-                raise InvalidModelError(f"non-total world {compiled.ids[w]!r}")
-        return compiled, compiled.all_worlds, compiled.all_edges
-    if not is_valid_submodel(model, sub, connected=False):
-        raise InvalidModelError("not a valid submodel of the given model")
-    wmask, emask = compiled.masks_of(sub)
-    return compiled, wmask, emask
-
-
 def label(
     model: KripkeModel, phi: F.Formula, sub: Submodel | None = None
 ) -> LabelingResult:
     """Map each subformula to the id set of worlds where it holds."""
-    compiled, wmask, emask = _structure(model, sub)
+    compiled, wmask, emask = structure_masks(model, sub)
     masks = label_masks(compiled, wmask, emask, phi)
     return {
         node: frozenset(compiled.ids[i] for i in _bits(mask))
@@ -139,7 +118,7 @@ def label(
 
 def check(model: KripkeModel, phi: F.Formula, sub: Submodel | None = None) -> bool:
     """Root satisfaction: does the structure satisfy phi at its root?"""
-    compiled, wmask, emask = _structure(model, sub)
+    compiled, wmask, emask = structure_masks(model, sub)
     masks = label_masks(compiled, wmask, emask, phi)
     return bool(masks[phi] >> compiled.root & 1)
 

@@ -194,3 +194,29 @@ def naive_enumerate(
                     ):
                         solutions.add(sub)
     return solutions
+
+
+def relabeled_exists_afag(
+    model: KripkeModel, form: F.TrimmedForm, sub: Submodel | None = None
+) -> bool:
+    """Four-form existence by relabeling and model checking, with the
+    naive checker: the E-twin (EF x, EG x, EF EG x) at the root, and for
+    AG AF one reach-and-revisit check EF (x_w & EX EF x_w) per x-world w,
+    each x-world carrying a fresh label of its own."""
+    x = F.Atom(form.atom)
+    if form.shape == "AF":
+        return naive_check(model, F.EF(x), sub)
+    if form.shape == "AG":
+        return naive_check(model, F.EG(x), sub)
+    if form.shape == "AFAG":
+        return naive_check(model, F.EF(F.EG(x)), sub)
+    relabeled = KripkeModel.of(
+        [(w.id, [f"x_{w.id}"] if form.atom in w.labels else []) for w in model.worlds],
+        model.edges,
+        model.root,
+    )
+    marks = [F.Atom(f"x_{w.id}") for w in model.worlds if form.atom in w.labels]
+    return any(
+        naive_check(relabeled, F.EF(F.And(mark, F.EX(F.EF(mark)))), sub)
+        for mark in marks
+    )

@@ -77,6 +77,13 @@ class TestCheck:
         assert code == 2
         assert "expected" in err
 
+    def test_formula_nested_too_deeply(self, two_world_path):
+        code, out, err = run_cli(
+            "check", "--model", two_world_path, "--formula", "!" * 3000 + "p"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: input nested too deeply\n"
+
     def test_invalid_model(self, tmp_path):
         path = tmp_path / "nontotal.json"
         path.write_text(
@@ -251,6 +258,36 @@ class TestEnumerate:
         finally:
             process.kill()
             process.wait()
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # the reader stops after one line, as `| head -1` does
+        model = families.chain_models(14)
+        path = tmp_path / "chain.json"
+        save_model(model, str(path))
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "ctlenum.cli",
+                "enumerate",
+                "--model",
+                str(path),
+                "--formula",
+                "EF p",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert process.stdout.readline().startswith('{"worlds"')
+            process.stdout.close()
+            assert process.wait(timeout=60) == 0
+            assert process.stderr.read() == ""
+        finally:
+            process.kill()
+            process.wait()
+            process.stderr.close()
 
 
 class TestTrim:

@@ -17,7 +17,7 @@ from ctlenum.enumeration import (
     extend_monotone,
     extract_lasso_witness,
 )
-from ctlenum.errors import CapExceeded, OracleFragmentMismatch
+from ctlenum.errors import CapExceeded, InvalidModelError, OracleFragmentMismatch
 from ctlenum.formula import afag_trim, parse_formula
 from ctlenum.kripke import (
     DELETE,
@@ -33,6 +33,7 @@ from ctlenum.kripke import (
     is_valid_submodel,
 )
 from ctlenum.modelcheck import check
+from oracles import relabeled_exists_afag
 
 
 def decision_for(model, commitments):
@@ -373,23 +374,35 @@ class TestExistsAfag:
         model = KripkeModel.of([("r", ["x"])], [("r", "r")], "r")
         assert exists_afag(model, afag_trim(parse_formula("AF x")))
 
-    def test_matches_relabeled_model_checking(self, revisit_example):
-        # dual route: explicit relabeling plus one reach-and-revisit
-        # disjunct per x-world
+    def test_matches_relabeled_model_checking(self):
+        # dual routes: relabeling plus the naive checker, and the general
+        # existence search on the form's own formula
+        rng = random.Random(3)
+        forms = [
+            afag_trim(parse_formula(chain))
+            for chain in ("AF x", "AG x", "AF AG x", "AG AF x")
+        ]
+        for model in families.all_models(3, atoms=("x",)):
+            sub = families.random_submodel(rng, model, connected=False)
+            for form in forms:
+                got = exists_afag(model, form)
+                assert got == relabeled_exists_afag(model, form), (form, model)
+                assert got == exists_submodel(model, form.to_formula()), (form, model)
+                assert exists_afag(model, form, sub) == relabeled_exists_afag(
+                    model, form, sub
+                ), (form, model, sub)
+
+    def test_foreign_sub_rejected(self, revisit_example):
         form = afag_trim(parse_formula("AG AF x"))
-        relabeled = KripkeModel.of(
-            [
-                (w.id, [f"x_{w.id}"] if "x" in w.labels else [])
-                for w in revisit_example.worlds
-            ],
-            revisit_example.edges,
-            revisit_example.root,
+        # without its foreign world and edge this is the whole model
+        foreign = Submodel(
+            frozenset(w.id for w in revisit_example.worlds) | {"zz"},
+            frozenset(revisit_example.edges) | {("w1", "zz")},
         )
-        by_hand = any(
-            check(relabeled, parse_formula(f"EF (x_{w} & EX EF x_{w})"))
-            for w in ("w2", "w3")
-        )
-        assert exists_afag(revisit_example, form) == by_hand
+        with pytest.raises(InvalidModelError):
+            exists_afag(revisit_example, form, foreign)
+        with pytest.raises(InvalidModelError):
+            extract_lasso_witness(revisit_example, form, foreign)
 
 
 class TestLassoWitness:

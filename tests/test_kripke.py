@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ctlenum import families
-from ctlenum.errors import ModelFormatError, RootDeleted, UnknownWorld
+from ctlenum.errors import InvalidModelError, ModelFormatError, RootDeleted, UnknownWorld
 from ctlenum.kripke import (
     DELETE,
     KEEP,
@@ -210,18 +210,45 @@ class TestReachability:
         with pytest.raises(UnknownWorld):
             reachable_set(microwave, "w99")
 
+    def test_start_outside_submodel(self, microwave):
+        sub = Submodel(frozenset({"w1", "w3"}), frozenset({("w1", "w3"), ("w3", "w1")}))
+        assert reachable_set(microwave, "w3", sub) == {"w1", "w3"}
+        with pytest.raises(UnknownWorld):
+            reachable_set(microwave, "w2", sub)
+
 
 class TestSubmodelValidity:
     def test_validity_matches_naive(self, two_world_model):
-        model = two_world_model
-        ids = {w.id for w in model.worlds}
-        for worlds in _subsets(ids):
-            for edges in _subsets(model.edges):
-                sub = Submodel(frozenset(worlds), frozenset(edges))
-                for connected in (True, False):
-                    assert is_valid_submodel(model, sub, connected) == naive_valid(
-                        model, sub, connected
-                    )
+        three = [m for m in families.all_models(3, atoms=()) if len(m.worlds) == 3]
+        for model in [two_world_model] + three[::37]:
+            ids = {w.id for w in model.worlds}
+            for worlds in _subsets(ids):
+                for edges in _subsets(model.edges):
+                    sub = Submodel(frozenset(worlds), frozenset(edges))
+                    for connected in (True, False):
+                        assert is_valid_submodel(
+                            model, sub, connected
+                        ) == naive_valid(model, sub, connected), (model, sub)
+
+    def test_malformed_parent_rejected(self):
+        dangling = KripkeModel.of([("r", [])], [("r", "r"), ("r", "x")], "r")
+        sub = Submodel(frozenset({"r"}), frozenset({("r", "r")}))
+        with pytest.raises(InvalidModelError):
+            is_valid_submodel(dangling, sub)
+        with pytest.raises(InvalidModelError):
+            reachable_set(dangling, "r")
+
+    def test_foreign_elements_invalid(self, two_world_model):
+        full = Submodel(
+            frozenset(w.id for w in two_world_model.worlds),
+            frozenset(two_world_model.edges),
+        )
+        assert is_valid_submodel(two_world_model, full)
+        foreign_world = Submodel(full.worlds | {"zz"}, full.edges | {("zz", "zz")})
+        foreign_edge = Submodel(full.worlds, full.edges | {("w", "r")})
+        for sub in (foreign_world, foreign_edge):
+            for connected in (True, False):
+                assert not is_valid_submodel(two_world_model, sub, connected)
 
 
 class TestPartialDecision:

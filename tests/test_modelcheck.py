@@ -67,6 +67,19 @@ class TestGoldens:
         with pytest.raises(InvalidModelError):
             check(valid, F.Top(), Submodel(frozenset({"r"}), frozenset()))
 
+    def test_foreign_sub_rejected(self, two_world_model):
+        foreign_world = Submodel(
+            frozenset({"r", "zz"}), frozenset({("r", "zz"), ("zz", "zz")})
+        )
+        foreign_edge = Submodel(
+            frozenset({"r", "w"}), frozenset({("r", "w"), ("w", "r"), ("w", "w")})
+        )
+        for sub in (foreign_world, foreign_edge):
+            with pytest.raises(InvalidModelError):
+                check(two_world_model, F.Top(), sub)
+            with pytest.raises(InvalidModelError):
+                label(two_world_model, F.Top(), sub)
+
 
 class TestLabeling:
     def test_boolean_entries_are_pointwise(self, microwave):
