@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-import time
+from typing import Iterator
 
 from . import formula as F
 from .enumeration import (
@@ -76,7 +76,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if args.oracle == "brute":
-            stats = _emit_brute(out, model, phi, connected, args)
+            stats = EnumerationStats()
+            # brute force makes no oracle calls
+            lines = stats.record(_brute_lines(model, phi, connected, args), lambda: 0)
         else:
             session = enumerate_submodels(
                 model,
@@ -85,10 +87,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 connected=connected,
                 limit=args.limit,
             )
-            for solution in session:
-                out.write(canonical_serialize(solution) + "\n")
-                out.flush()
             stats = session.stats
+            lines = map(canonical_serialize, session)
+        for line in lines:
+            out.write(line + "\n")
+            out.flush()
         if args.stats:
             out.write(json.dumps(stats.to_dict()) + "\n")
             out.flush()
@@ -98,24 +101,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_brute(out, model, phi, connected, args) -> EnumerationStats:
-    stats = EnumerationStats()
-    last = time.perf_counter_ns()
+def _brute_lines(model, phi, connected, args) -> Iterator[str]:
+    """Brute-force solutions in sorted serialized order, up to the limit."""
     solutions = brute_force_enumerate(model, phi, connected=connected, cap=args.cap)
-    lines = sorted(canonical_serialize(s) for s in solutions)
-    if args.limit is not None:
-        lines = lines[: args.limit]
-    for line in lines:
-        now = time.perf_counter_ns()
-        stats.delays_ns.append(now - last)
-        stats.oracle_calls.append(0)
-        stats.solutions += 1
-        out.write(line + "\n")
-        out.flush()
-        last = time.perf_counter_ns()
-    stats.delays_ns.append(time.perf_counter_ns() - last)
-    stats.oracle_calls.append(0)
-    return stats
+    yield from sorted(canonical_serialize(s) for s in solutions)[: args.limit]
 
 
 def cmd_trim(args: argparse.Namespace) -> int:

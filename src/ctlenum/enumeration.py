@@ -8,9 +8,11 @@ stream is duplicate-free by construction.
 
 Three extension oracles are provided: an exhaustive completion search
 (correct for full CTL, worst-case exponential), a polynomial one for
-negation-free existential formulas, and a polynomial one for AF/AG
-chains with a documented exhaustive fallback for keep-committed queries
-on AF-containing forms.
+negation-free existential formulas, which is that search's first step,
+and a polynomial one for AF/AG chains with a documented exhaustive
+fallback for keep-committed queries on AF-containing forms. The engine
+and the completion search are explicit-stack loops, so neither recurses
+once per ground-set position.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import formula as F
 from .errors import CapExceeded, OracleFragmentMismatch
@@ -35,6 +37,9 @@ from .kripke import (
     structure_masks,
 )
 from .modelcheck import label_masks
+
+
+_T = TypeVar("_T")
 
 
 class OracleKind(Enum):
@@ -72,6 +77,25 @@ class EnumerationStats:
             "oracle_calls": list(self.oracle_calls),
             "fallback_queries": self.fallback_queries,
         }
+
+    def record(
+        self, solutions: Iterable[_T], take_calls: Callable[[], int]
+    ) -> Iterator[_T]:
+        """Yield the solutions, recording each gap's delay and the oracle
+        calls take_calls reports for it; the consumer's time between two
+        solutions counts for neither gap. The last bucket is recorded
+        when iteration ends."""
+        last = time.perf_counter_ns()
+        try:
+            for solution in solutions:
+                self.delays_ns.append(time.perf_counter_ns() - last)
+                self.oracle_calls.append(take_calls())
+                self.solutions += 1
+                yield solution
+                last = time.perf_counter_ns()
+        finally:
+            self.delays_ns.append(time.perf_counter_ns() - last)
+            self.oracle_calls.append(take_calls())
 
 
 @dataclass(frozen=True)
@@ -155,94 +179,64 @@ _MaskOracle = Callable[["_Context", int, int, int, int], tuple[bool, tuple[int, 
 def _oracle_exhaustive(
     ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int
 ) -> tuple[bool, tuple[int, int] | None]:
-    witness = _search_completion(ctx, 0, keep_w, keep_e, del_w, del_e)
+    witness = _search_completion(ctx, keep_w, keep_e, del_w, del_e)
     return witness is not None, witness
 
 
 def _search_completion(
-    ctx: _Context, pos: int, keep_w: int, keep_e: int, del_w: int, del_e: int
+    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int
 ) -> tuple[int, int] | None:
     """First satisfying completion in keep-before-delete order, or None.
 
-    Deciding an element can force others out (closure); a forced-out
-    keep commitment prunes the whole branch. The maximal surviving
-    submodel is itself a reachable completion, so satisfaction there
-    accepts immediately. Every completion is a submodel of it, so a
-    failed existential weakening there prunes the branch.
+    Each frame carries cl, the closure of its deletions, or None after a
+    real deletion. Only those frames pay for a closure: deciding an
+    element can force others out, and a forced-out keep commitment
+    prunes the branch. The maximal surviving submodel is itself a
+    reachable completion, so satisfaction there accepts at once. Every
+    completion is a submodel of it, so a failed existential weakening
+    there prunes the branch; on the monotone fragment the weakening is
+    phi itself, so the search stops at the first closure. Keep branches
+    and deletions of elements outside cl leave the closure unchanged.
     """
-    cl = ctx.compiled.closure(del_w, del_e, ctx.connected)
-    if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
-        return None
-    if ctx.satisfies(*cl):
-        return cl
-    if not ctx.may_extend(*cl):
-        return None
-    return _search_below(ctx, pos, keep_w, keep_e, del_w, del_e, cl)
-
-
-def _search_below(
-    ctx: _Context,
-    pos: int,
-    keep_w: int,
-    keep_e: int,
-    del_w: int,
-    del_e: int,
-    cl: tuple[int, int],
-) -> tuple[int, int] | None:
-    """Recursive step under the invariant that cl is the closure of the
-    current deletions, all keeps survive in it, and its own satisfaction
-    was already refuted. Keep branches and deletions of already-pruned
-    elements leave the closure unchanged, so only real deletions pay for
-    a closure recomputation and a satisfaction retry."""
     positions = ctx.positions
     total = len(positions)
-    decided_w = keep_w | del_w
-    decided_e = keep_e | del_e
-    cw, ce = cl
-    while pos < total:
-        wbit, ebit = positions[pos]
-        if wbit and not wbit & decided_w or ebit and not ebit & decided_e:
-            break
-        pos += 1
-    if pos == total:
-        # full assignment: the kept candidate is valid only if it equals
-        # the closure, whose satisfaction was already refuted
-        return None
-    wbit, ebit = positions[pos]
-    if wbit & cw or ebit & ce:
+    stack: list[tuple[int, int, int, int, int, tuple[int, int] | None]] = [
+        (0, keep_w, keep_e, del_w, del_e, None)
+    ]
+    while stack:
+        pos, keep_w, keep_e, del_w, del_e, cl = stack.pop()
+        if cl is None:
+            cl = ctx.compiled.closure(del_w, del_e, ctx.connected)
+            if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
+                continue
+            if ctx.satisfies(*cl):
+                return cl
+            if not ctx.may_extend(*cl):
+                continue
+        cw, ce = cl
+        decided_w = keep_w | del_w
+        decided_e = keep_e | del_e
+        while pos < total:
+            wbit, ebit = positions[pos]
+            if not (wbit & decided_w or ebit & decided_e):
+                if wbit & cw or ebit & ce:
+                    break
+                # outside the surviving submodel already: keeping it is
+                # contradictory and deleting it changes nothing
+                del_w |= wbit
+                del_e |= ebit
+            pos += 1
+        if pos == total:
+            # full assignment: the kept candidate is valid only if it
+            # equals the closure, whose satisfaction was already refuted
+            continue
+        keep =(pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl)
+        delete = (pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, None)
         if ctx.delete_first:
-            found = _search_completion(
-                ctx, pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit
-            )
-            if found is not None:
-                return found
-            return _search_below(
-                ctx, pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl
-            )
-        found = _search_below(
-            ctx, pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl
-        )
-        if found is not None:
-            return found
-        return _search_completion(
-            ctx, pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit
-        )
-    # the element is outside the surviving submodel already: keeping it
-    # is contradictory and deleting it changes nothing
-    return _search_below(
-        ctx, pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl
-    )
-
-
-def _oracle_monotone(
-    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int
-) -> tuple[bool, tuple[int, int] | None]:
-    cl = ctx.compiled.closure(del_w, del_e, ctx.connected)
-    if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
-        return False, None
-    if ctx.satisfies(*cl):
-        return True, cl
-    return False, None
+            stack += (keep, delete)
+        else:
+            stack += (delete, keep)
+    return None
 
 
 def _oracle_afag(
@@ -259,14 +253,9 @@ def _oracle_afag(
         stem, cycle = _lasso_masks(c, *cl, form)
         return True, _walk_masks(c, stem + cycle + cycle[:1])
     if ctx.connected and form.shape == "AG":
-        # AG x solutions consist of x-labeled worlds only
+        # AG x solutions consist of x-labeled worlds only; an unlabeled
+        # root, kept world or kept-edge endpoint fails the closure below
         labeled = c.label_worlds.get(form.atom, 0)
-        if not labeled >> c.root & 1 or keep_w & ~labeled:
-            return False, None
-        for e in _bits(keep_e):
-            src, dst = c.edges[e]
-            if not (labeled >> src & 1 and labeled >> dst & 1):
-                return False, None
         cl = c.closure(del_w | (c.all_worlds & ~labeled), del_e, connected=True)
         if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
             return False, None
@@ -277,7 +266,7 @@ def _oracle_afag(
 
 _ORACLES: dict[OracleKind, _MaskOracle] = {
     OracleKind.EXHAUSTIVE: _oracle_exhaustive,
-    OracleKind.MONOTONE: _oracle_monotone,
+    OracleKind.MONOTONE: _oracle_exhaustive,
     OracleKind.AFAG: _oracle_afag,
 }
 
@@ -330,7 +319,6 @@ class EnumerationSession:
         self.stats = EnumerationStats()
         self._witness: tuple[int, int] | None = None
         self._calls_in_gap = 0
-        self._stopped = False
         self._finished = False
 
     def __iter__(self) -> Iterator[Submodel]:
@@ -340,44 +328,37 @@ class EnumerationSession:
         return self._iterate()
 
     def _iterate(self) -> Iterator[Submodel]:
-        last = time.perf_counter_ns()
+        solutions = self.stats.record(self._solutions(), self._take_calls)
         try:
-            for sol_w, sol_e in self._solutions():
-                now = time.perf_counter_ns()
-                self.stats.delays_ns.append(now - last)
-                self.stats.oracle_calls.append(self._calls_in_gap)
-                self.stats.solutions += 1
-                self._calls_in_gap = 0
-                if self._limit is not None and self.stats.solutions >= self._limit:
-                    self._stopped = True
+            for sol_w, sol_e in solutions:
                 yield self._ctx.compiled.submodel(sol_w, sol_e)
-                last = time.perf_counter_ns()
         finally:
-            self.stats.delays_ns.append(time.perf_counter_ns() - last)
-            self.stats.oracle_calls.append(self._calls_in_gap)
+            solutions.close()
             self.stats.fallback_queries = self._ctx.fallback_queries
 
-    def _solutions(self) -> Iterator[tuple[int, int]]:
-        if self._query(0, 0, 0, 0):
-            yield from self._descend(0, 0, 0, 0, 0)
+    def _take_calls(self) -> int:
+        calls, self._calls_in_gap = self._calls_in_gap, 0
+        return calls
 
-    def _descend(
-        self, pos: int, keep_w: int, keep_e: int, del_w: int, del_e: int
-    ) -> Iterator[tuple[int, int]]:
-        c = self._ctx.compiled
-        if pos == len(self._ctx.positions):
-            yield c.all_worlds & ~del_w, c.all_edges & ~del_e
-            return
-        wbit, ebit = self._ctx.positions[pos]
-        branches = (
-            (keep_w | wbit, keep_e | ebit, del_w, del_e),
-            (keep_w, keep_e, del_w | wbit, del_e | ebit),
-        )
-        for masks in branches:
-            if self._stopped:
-                return
-            if self._query(*masks):
-                yield from self._descend(pos + 1, *masks)
+    def _solutions(self) -> Iterator[tuple[int, int]]:
+        """Depth-first over the ground-set order: a node is queried when
+        popped, and its delete child sits below its keep child."""
+        ctx = self._ctx
+        positions = ctx.positions
+        total = len(positions)
+        stack = [(0, 0, 0, 0, 0)]
+        while stack:
+            pos, keep_w, keep_e, del_w, del_e = stack.pop()
+            if not self._query(keep_w, keep_e, del_w, del_e):
+                continue
+            if pos == total:
+                yield ctx.compiled.all_worlds & ~del_w, ctx.compiled.all_edges & ~del_e
+                if self.stats.solutions == self._limit:
+                    return
+                continue
+            wbit, ebit = positions[pos]
+            stack.append((pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit))
+            stack.append((pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e))
 
     def _query(self, keep_w: int, keep_e: int, del_w: int, del_e: int) -> bool:
         self._calls_in_gap += 1
@@ -438,7 +419,8 @@ def extend_exhaustive(query: ExtensionQuery) -> bool:
 
 def extend_monotone(query: ExtensionQuery) -> bool:
     """Polynomial extension decision for the negation-free existential
-    fragment: satisfaction of the maximal surviving submodel decides."""
+    fragment: satisfaction of the maximal surviving submodel decides, so
+    the completion search stops at its first closure."""
     return _extend(OracleKind.MONOTONE, query)
 
 

@@ -398,10 +398,17 @@ class FragmentProfile:
         return "afag-chain" in self.tags
 
 
-def _is_afag_chain(phi: Formula) -> bool:
+def _afag_runs(phi: Formula) -> tuple[list[str], str] | None:
+    """Operators of an AF/AG chain, outermost first, with each run of equal
+    operators collapsed to one, and the chain's atom; None when phi is not
+    an AF/AG chain over a single atom."""
+    runs: list[str] = []
     while isinstance(phi, (AF, AG)):
+        op = operator_name(phi)
+        if not runs or runs[-1] != op:
+            runs.append(op)
         phi = phi.child
-    return isinstance(phi, Atom)
+    return (runs, phi.name) if isinstance(phi, Atom) else None
 
 
 def classify_fragment(phi: Formula) -> FragmentProfile:
@@ -423,7 +430,7 @@ def classify_fragment(phi: Formula) -> FragmentProfile:
     tags = {"general"}
     if operators <= EXISTENTIAL_OPS and connectives <= {"&", "|"}:
         tags.add("monotone-existential")
-    if _is_afag_chain(phi):
+    if _afag_runs(phi) is not None:
         tags.add("afag-chain")
     return FragmentProfile(
         operators=frozenset(operators),
@@ -508,45 +515,25 @@ class TrimmedForm:
         return phi
 
 
-def _chain_ops(phi: Formula) -> tuple[list[str], str]:
-    ops = []
-    while isinstance(phi, (AF, AG)):
-        ops.append(operator_name(phi))
-        phi = phi.child
-    if not isinstance(phi, Atom):
-        raise NotAFAGChain("formula is not an AF/AG chain over a single atom")
-    return ops, phi.name
-
-
 def afag_trim(phi: Formula) -> TrimmedForm:
     """Trim an AF/AG chain to one of its four normal forms.
 
-    The rewrites (duplicate collapse, alternation-triple collapse) are
-    applied at the innermost applicable position until a fixed point;
-    each step removes exactly one operator.
+    The rewrites are duplicate collapse (AF AF -> AF, AG AG -> AG) and
+    alternation-triple collapse (AG AF AG -> AF AG, AF AG AF -> AG AF),
+    each removing one operator. Duplicate collapse leaves the sequence of
+    runs of equal operators as it is. A triple collapse removes the
+    outermost operator of an alternating triple, so it deletes one run
+    and merges the two around it, never one of the innermost two runs.
+    A chain with neither a duplicate nor a triple has at most two runs,
+    so the rewrites end at the last two runs of the input.
     """
-    ops, atom = _chain_ops(phi)
-    if not ops:
+    chain = _afag_runs(phi)
+    if chain is None:
+        raise NotAFAGChain("formula is not an AF/AG chain over a single atom")
+    runs, atom = chain
+    if not runs:
         raise NotAFAGChain("chain carries no temporal operator")
-    while True:
-        index = length = None
-        for i in range(len(ops) - 2, -1, -1):
-            if ops[i] == ops[i + 1]:
-                index, length, replacement = i, 2, [ops[i]]
-                break
-        if index is None:
-            for i in range(len(ops) - 3, -1, -1):
-                triple = tuple(ops[i : i + 3])
-                if triple == ("AG", "AF", "AG"):
-                    index, length, replacement = i, 3, ["AF", "AG"]
-                    break
-                if triple == ("AF", "AG", "AF"):
-                    index, length, replacement = i, 3, ["AG", "AF"]
-                    break
-        if index is None:
-            break
-        ops[index : index + length] = replacement
-    return TrimmedForm(shape="".join(ops), atom=atom)
+    return TrimmedForm(shape="".join(runs[-2:]), atom=atom)
 
 
 # --- literal substitution ---------------------------------------------------

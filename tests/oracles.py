@@ -220,3 +220,30 @@ def relabeled_exists_afag(
         naive_check(relabeled, F.EF(F.And(mark, F.EX(F.EF(mark)))), sub)
         for mark in marks
     )
+
+
+def rewrite_afag_ops(ops: list[str]) -> list[str]:
+    """AF/AG chain trimming by its rewrite rules, operators outermost
+    first: duplicate collapse (AF AF -> AF, AG AG -> AG), then
+    alternation-triple collapse (AG AF AG -> AF AG, AF AG AF -> AG AF),
+    each applied at the innermost applicable position until a fixed
+    point; each step removes exactly one operator."""
+    ops = list(ops)
+    while True:
+        index = length = None
+        for i in range(len(ops) - 2, -1, -1):
+            if ops[i] == ops[i + 1]:
+                index, length, replacement = i, 2, [ops[i]]
+                break
+        if index is None:
+            for i in range(len(ops) - 3, -1, -1):
+                triple = tuple(ops[i : i + 3])
+                if triple == ("AG", "AF", "AG"):
+                    index, length, replacement = i, 3, ["AF", "AG"]
+                    break
+                if triple == ("AF", "AG", "AF"):
+                    index, length, replacement = i, 3, ["AG", "AF"]
+                    break
+        if index is None:
+            return ops
+        ops[index : index + length] = replacement

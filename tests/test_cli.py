@@ -184,6 +184,24 @@ class TestEnumerate:
         )[1]
         assert set(fast.strip().splitlines()) == set(brute.strip().splitlines())
 
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_brute_stats(self, two_world_path, limit):
+        argv = ["enumerate", "--model", two_world_path, "--formula", "true"]
+        argv += ["--oracle", "brute", "--stats"]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        *lines, last = out.strip().splitlines()
+        expected = 3 if limit is None else limit
+        assert len(lines) == expected
+        assert lines == sorted(lines)
+        stats = json.loads(last)
+        assert stats["solutions"] == expected
+        assert len(stats["delays_ns"]) == expected + 1
+        assert stats["oracle_calls"] == [0] * (expected + 1)
+        assert stats["fallback_queries"] == 0
+
     def test_include_disconnected(self, tmp_path):
         from ctlenum.kripke import KripkeModel
 
@@ -288,6 +306,17 @@ class TestEnumerate:
             process.kill()
             process.wait()
             process.stderr.close()
+
+    def test_deep_model(self, tmp_path):
+        # a ground set of 1,199 elements: the search must not recurse per element
+        path = tmp_path / "chain400.json"
+        save_model(families.chain_models(400), str(path))
+        code, out, err = run_cli(
+            "enumerate", "--model", str(path), "--formula", "EF p", "--limit", "1"
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1
+        assert out.startswith('{"worlds"')
 
 
 class TestTrim:

@@ -160,6 +160,41 @@ class TestEngineAgainstBruteForce:
             assert sorted(sources) == order
 
 
+class TestDeepModels:
+    """A 400-world chain has a ground set of 1,199 elements, far deeper
+    than the interpreter's recursion limit."""
+
+    def test_monotone_stream(self):
+        model = families.chain_models(400)
+        phi = parse_formula("EF p")
+        solutions = list(enumerate_submodels(model, phi, limit=3))
+        assert len(solutions) == 3
+        for solution in solutions:
+            assert is_valid_submodel(model, solution)
+            assert check(model, phi, solution)
+
+    def test_exhaustive_completion_search(self):
+        chain = families.chain_models(400)
+        model = KripkeModel.of(
+            [(w.id, sorted(w.labels | {"r"}) if w.id == "w399" else sorted(w.labels))
+             for w in chain.worlds],
+            chain.edges,
+            chain.root,
+        )
+        # w399 carries r and a self-loop, so the full chain fails phi; the
+        # submodels that satisfy it lie below the first closure
+        phi = parse_formula("AG (r -> AX !r)")
+        assert not check(model, phi)
+        assert extend_exhaustive(ExtensionQuery(model, phi, empty_decision(model)))
+        solutions = list(
+            enumerate_submodels(model, phi, oracle=OracleKind.EXHAUSTIVE, limit=2)
+        )
+        assert len(solutions) == 2
+        for solution in solutions:
+            assert is_valid_submodel(model, solution)
+            assert check(model, phi, solution)
+
+
 def admissible_oracles(phi):
     kinds = [OracleKind.AUTO, OracleKind.EXHAUSTIVE]
     profile = F.classify_fragment(phi)
@@ -456,6 +491,18 @@ class TestStats:
         assert session.stats.solutions == len(solutions) == 3
         assert len(session.stats.delays_ns) == len(solutions) + 1
         assert len(session.stats.oracle_calls) == len(solutions) + 1
+
+    def test_limit_and_abandonment_close_the_last_bucket(self, two_world_model):
+        limited = enumerate_submodels(two_world_model, F.Top(), limit=2)
+        assert len(list(limited)) == 2
+        abandoned = enumerate_submodels(two_world_model, F.Top())
+        stream = iter(abandoned)
+        next(stream)
+        stream.close()
+        for session, solutions in ((limited, 2), (abandoned, 1)):
+            assert session.stats.solutions == solutions
+            assert len(session.stats.delays_ns) == solutions + 1
+            assert len(session.stats.oracle_calls) == solutions + 1
 
     def test_oracle_call_bound_on_chains(self):
         for size in range(5, 10):

@@ -18,6 +18,7 @@ from ctlenum.formula import (
     render_formula,
     substitute_atoms,
 )
+from oracles import rewrite_afag_ops
 
 
 def atoms(*names):
@@ -184,19 +185,19 @@ class TestTrim:
         with pytest.raises(NotAFAGChain):
             afag_trim(parse_formula("x"))
 
-    @pytest.mark.parametrize("length", range(1, 7))
+    @pytest.mark.parametrize("length", range(1, 13))
     def test_normal_form_and_step_count(self, length):
         import itertools
 
-        for ops in itertools.product([F.AF, F.AG], repeat=length):
+        for ops in itertools.product(["AF", "AG"], repeat=length):
             phi = F.Atom("x")
             for op in reversed(ops):
-                phi = op(phi)
+                phi = F.UNARY_TEMPORAL[op](phi)
             trimmed = afag_trim(phi)
             assert trimmed.shape in ("AF", "AG", "AFAG", "AGAF")
-            # each rewrite removes one operator, so the normal form pins
-            # the number of steps to length - len(shape)/2
-            assert len(trimmed.shape) // 2 <= length
+            # the reference rewrites one operator away per step, so equal
+            # shapes pin the number of steps to length - len(shape)/2
+            assert trimmed.shape == "".join(rewrite_afag_ops(list(ops)))
 
 
 class TestSubstitute:
