@@ -36,7 +36,7 @@ from .kripke import (
     require_valid,
     structure_masks,
 )
-from .modelcheck import label_masks
+from .modelcheck import FormulaProgram, compile_formula, label_masks
 
 
 _T = TypeVar("_T")
@@ -140,6 +140,12 @@ class _Context:
         self.fallback_queries = 0
         weakened = F.existential_weakening(phi)
         self.weakened = phi if weakened == phi else weakened
+        self._program = compile_formula(phi)
+        self._weak_program = (
+            None
+            if self.weakened is None or self.weakened is phi
+            else compile_formula(self.weakened)
+        )
         self._sat_cache: dict[tuple[int, int], bool] = {}
         self._weak_cache: dict[tuple[int, int], bool] = {}
         c = self.compiled
@@ -148,7 +154,7 @@ class _Context:
         ] + [(0, 1 << e) for e in range(c.m)]
 
     def satisfies(self, wmask: int, emask: int) -> bool:
-        return self._holds(self._sat_cache, self.formula, wmask, emask)
+        return self._holds(self._sat_cache, self._program, wmask, emask)
 
     def may_extend(self, wmask: int, emask: int) -> bool:
         """Can some submodel of a structure that fails phi satisfy phi?
@@ -157,16 +163,20 @@ class _Context:
             return True
         if self.weakened is self.formula:
             return False
-        return self._holds(self._weak_cache, self.weakened, wmask, emask)
+        return self._holds(self._weak_cache, self._weak_program, wmask, emask)
 
     def _holds(
-        self, cache: dict[tuple[int, int], bool], phi: F.Formula, wmask: int, emask: int
+        self,
+        cache: dict[tuple[int, int], bool],
+        program: FormulaProgram,
+        wmask: int,
+        emask: int,
     ) -> bool:
         key = (wmask, emask)
         cached = cache.get(key)
         if cached is None:
-            masks = label_masks(self.compiled, wmask, emask, phi)
-            cached = bool(masks[phi] >> self.compiled.root & 1)
+            masks = label_masks(self.compiled, wmask, emask, program)
+            cached = bool(masks[-1] >> self.compiled.root & 1)
             if len(cache) > 1 << 18:
                 cache.clear()
             cache[key] = cached
@@ -499,7 +509,7 @@ def _exists_afag_masks(
         phi = F.EF(F.EG(x))
     else:
         return _agaf_witness_world(c, wmask, emask, form.atom) is not None
-    return bool(label_masks(c, wmask, emask, phi)[phi] >> c.root & 1)
+    return bool(label_masks(c, wmask, emask, compile_formula(phi))[-1] >> c.root & 1)
 
 
 def _agaf_witness_world(
@@ -596,13 +606,12 @@ def _lasso_masks(
         prefix = _bfs_path(succ, c.root, x_worlds)
         stem, cycle = _walk_to_repeat(succ, prefix, wmask)
     elif form.shape == "AG":
-        holds_eg = label_masks(c, wmask, emask, F.EG(F.Atom(form.atom)))[
-            F.EG(F.Atom(form.atom))
-        ]
+        eg_program = compile_formula(F.EG(F.Atom(form.atom)))
+        holds_eg = label_masks(c, wmask, emask, eg_program)[-1]
         stem, cycle = _walk_to_repeat(succ, [c.root], holds_eg)
     elif form.shape == "AFAG":
-        eg_formula = F.EG(F.Atom(form.atom))
-        holds_eg = label_masks(c, wmask, emask, eg_formula)[eg_formula]
+        eg_program = compile_formula(F.EG(F.Atom(form.atom)))
+        holds_eg = label_masks(c, wmask, emask, eg_program)[-1]
         reach = c.reach(emask, c.root) & holds_eg
         start = (reach & -reach).bit_length() - 1
         _, cycle = _walk_to_repeat(succ, [start], holds_eg)

@@ -259,7 +259,10 @@ class CompiledModel:
     """Index-based view of a model for bitmask algorithms.
 
     Worlds are numbered in declaration order; edges are numbered in the
-    ground-set order (sorted by source then target index).
+    ground-set order (sorted by source then target index). Per world w:
+    out_mask[w] is the mask of its out-edges, incident[w] that of its out-
+    and in-edges, pred_worlds[w] the mask of worlds with an edge into w;
+    dst_bit[e] is the world bit of edge e's target.
     """
 
     __slots__ = (
@@ -272,7 +275,9 @@ class CompiledModel:
         "edge_index",
         "m",
         "out_mask",
-        "in_mask",
+        "incident",
+        "pred_worlds",
+        "dst_bit",
         "all_worlds",
         "all_edges",
         "label_worlds",
@@ -296,10 +301,14 @@ class CompiledModel:
         self.edge_index = {e: i for i, e in enumerate(self.edges)}
         self.m = len(self.edges)
         self.out_mask = [0] * self.n
-        self.in_mask = [0] * self.n
+        self.incident = [0] * self.n
+        self.pred_worlds = [0] * self.n
         for e, (src, dst) in enumerate(self.edges):
             self.out_mask[src] |= 1 << e
-            self.in_mask[dst] |= 1 << e
+            self.incident[src] |= 1 << e
+            self.incident[dst] |= 1 << e
+            self.pred_worlds[dst] |= 1 << src
+        self.dst_bit = [1 << dst for _, dst in self.edges]
         self.all_worlds = (1 << self.n) - 1
         self.all_edges = (1 << self.m) - 1
         self.label_worlds: dict[str, int] = {}
@@ -311,14 +320,19 @@ class CompiledModel:
         self._closure_cache: dict[tuple[int, int, bool], tuple[int, int] | None] = {}
 
     def submodel(self, wmask: int, emask: int) -> Submodel:
-        return Submodel(
-            worlds=frozenset(self.ids[i] for i in _bits(wmask)),
-            edges=frozenset(
-                (self.ids[s], self.ids[t])
-                for e in _bits(emask)
-                for s, t in (self.edges[e],)
-            ),
-        )
+        ids, edges = self.ids, self.edges
+        worlds = []
+        while wmask:
+            low = wmask & -wmask
+            worlds.append(ids[low.bit_length() - 1])
+            wmask ^= low
+        kept = []
+        while emask:
+            low = emask & -emask
+            src, dst = edges[low.bit_length() - 1]
+            kept.append((ids[src], ids[dst]))
+            emask ^= low
+        return Submodel(worlds=frozenset(worlds), edges=frozenset(kept))
 
     def world_bit(self, wid: str) -> int:
         i = self.index.get(wid)
@@ -366,29 +380,37 @@ class CompiledModel:
             if not self.out_mask[w] & emask:
                 return False
         for w in _bits(self.all_worlds & ~wmask):
-            if (self.out_mask[w] | self.in_mask[w]) & emask:
+            if self.incident[w] & emask:
                 return False
         return not connected or self.reach(emask, self.root) == wmask
 
     def reach(self, emask: int, start: int) -> int:
         """Mask of worlds reachable from start over the kept edges;
         kept edges must already lie within the kept world set."""
-        succ = self.successor_masks(emask)
-        seen = 1 << start
-        frontier = seen
+        out_mask, dst_bit = self.out_mask, self.dst_bit
+        seen = frontier = 1 << start
         while frontier:
             grown = 0
-            for w in _bits(frontier):
-                grown |= succ[w]
+            while frontier:
+                low = frontier & -frontier
+                out = out_mask[low.bit_length() - 1] & emask
+                while out:
+                    edge = out & -out
+                    grown |= dst_bit[edge.bit_length() - 1]
+                    out ^= edge
+                frontier ^= low
             frontier = grown & ~seen
             seen |= frontier
         return seen
 
     def successor_masks(self, emask: int) -> list[int]:
+        edges, dst_bit = self.edges, self.dst_bit
         succ = [0] * self.n
-        for e in _bits(emask):
-            src, dst = self.edges[e]
-            succ[src] |= 1 << dst
+        while emask:
+            low = emask & -emask
+            e = low.bit_length() - 1
+            succ[edges[e][0]] |= dst_bit[e]
+            emask ^= low
         return succ
 
     def closure(
@@ -408,36 +430,43 @@ class CompiledModel:
     def _closure_uncached(
         self, del_worlds: int, del_edges: int, connected: bool
     ) -> tuple[int, int] | None:
+        out_mask, incident, pred_worlds = self.out_mask, self.incident, self.pred_worlds
         wmask = self.all_worlds & ~del_worlds
         emask = self.all_edges & ~del_edges
-        for w in _bits(del_worlds):
-            emask &= ~(self.out_mask[w] | self.in_mask[w])
+        dying = del_worlds
+        recheck = wmask
+        # totality: drop worlds with no outgoing kept edge; a death can
+        # only take the last out-edge of one of the dead world's kept
+        # predecessors, so only those are checked again
         while True:
-            # totality: drop worlds with no outgoing kept edge
-            changed = False
-            while True:
-                dead = 0
-                for w in _bits(wmask):
-                    if not self.out_mask[w] & emask:
-                        dead |= 1 << w
-                if not dead:
-                    break
-                changed = True
-                wmask &= ~dead
-                for w in _bits(dead):
-                    emask &= ~(self.out_mask[w] | self.in_mask[w])
-            if not wmask >> self.root & 1:
-                return None
-            if connected:
-                reachable = self.reach(emask, self.root)
-                stranded = wmask & ~reachable
-                if stranded:
-                    changed = True
-                    wmask &= reachable
-                    for w in _bits(stranded):
-                        emask &= ~(self.out_mask[w] | self.in_mask[w])
-            if not changed:
-                return wmask, emask
+            while dying:
+                low = dying & -dying
+                w = low.bit_length() - 1
+                emask &= ~incident[w]
+                recheck |= pred_worlds[w]
+                dying ^= low
+            recheck &= wmask
+            while recheck:
+                low = recheck & -recheck
+                if not out_mask[low.bit_length() - 1] & emask:
+                    dying |= low
+                recheck ^= low
+            if not dying:
+                break
+            wmask &= ~dying
+        if not wmask >> self.root & 1:
+            return None
+        if connected:
+            # a predecessor of an unreachable world is unreachable, so
+            # dropping them takes no out-edge of a reachable world and
+            # totality still holds
+            stranded = wmask & ~self.reach(emask, self.root)
+            wmask &= ~stranded
+            while stranded:
+                low = stranded & -stranded
+                emask &= ~incident[low.bit_length() - 1]
+                stranded ^= low
+        return wmask, emask
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from ctlenum import formula as F
-from ctlenum.kripke import KripkeModel, Submodel
+from ctlenum.kripke import CompiledModel, KripkeModel, Submodel
 
 
 def _structure(model: KripkeModel, sub: Submodel | None):
@@ -174,6 +174,66 @@ def naive_valid(model: KripkeModel, sub: Submodel, connected: bool) -> bool:
         if seen != set(sub.worlds):
             return False
     return True
+
+
+def _mask_bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def reference_closure(
+    c: CompiledModel, del_worlds: int, del_edges: int, connected: bool
+) -> tuple[int, int] | None:
+    """Closure on masks by set-at-a-time rounds: every kept world is
+    rechecked for totality after each round of deaths, and reachability
+    is recomputed until nothing changes. Uses only the model's edge list."""
+
+    def drop(emask: int, w: int) -> int:
+        for e, (src, dst) in enumerate(c.edges):
+            if w in (src, dst):
+                emask &= ~(1 << e)
+        return emask
+
+    def reach(emask: int) -> int:
+        seen = 1 << c.root
+        while True:
+            grown = seen
+            for e in _mask_bits(emask):
+                src, dst = c.edges[e]
+                if seen >> src & 1:
+                    grown |= 1 << dst
+            if grown == seen:
+                return seen
+            seen = grown
+
+    wmask = c.all_worlds & ~del_worlds
+    emask = c.all_edges & ~del_edges
+    for w in _mask_bits(del_worlds):
+        emask = drop(emask, w)
+    while True:
+        changed = False
+        while True:
+            dead = [
+                w
+                for w in _mask_bits(wmask)
+                if not any(c.edges[e][0] == w for e in _mask_bits(emask))
+            ]
+            if not dead:
+                break
+            changed = True
+            for w in dead:
+                wmask &= ~(1 << w)
+                emask = drop(emask, w)
+        if not wmask >> c.root & 1:
+            return None
+        if connected:
+            stranded = wmask & ~reach(emask)
+            if stranded:
+                changed = True
+                wmask &= ~stranded
+                for w in _mask_bits(stranded):
+                    emask = drop(emask, w)
+        if not changed:
+            return wmask, emask
 
 
 def naive_enumerate(

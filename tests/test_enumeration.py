@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ctlenum import families
+from ctlenum import enumeration, families
 from ctlenum import formula as F
 from ctlenum.enumeration import (
     ExtensionQuery,
@@ -23,6 +23,7 @@ from ctlenum.kripke import (
     DELETE,
     KEEP,
     UNDECIDED,
+    CompiledModel,
     EdgeElement,
     KripkeModel,
     PartialDecision,
@@ -482,6 +483,38 @@ class TestLassoWitness:
             assert set(out_degree) == set(induced.worlds)
             assert check(model, phi, induced)
         assert witnesses > 0
+
+
+class TestLabelingEntryPoint:
+    def test_engine_labels_through_module_attribute(self, monkeypatch):
+        # per-layer tracing wraps enumeration.label_masks and keys each
+        # call on all four arguments; every labeling builds successor
+        # masks once, so equal counts mean no labeling bypassed the name
+        labelings, successor_calls = [], []
+        label_masks = enumeration.label_masks
+        successor_masks = CompiledModel.successor_masks
+
+        def counted_label(compiled, wmask, emask, program):
+            labelings.append((id(compiled), wmask, emask, program))
+            return label_masks(compiled, wmask, emask, program)
+
+        def counted_successors(self, emask):
+            successor_calls.append(emask)
+            return successor_masks(self, emask)
+
+        monkeypatch.setattr(enumeration, "label_masks", counted_label)
+        monkeypatch.setattr(CompiledModel, "successor_masks", counted_successors)
+        model = families.random_model(random.Random(3), 4, atoms=("p", "q"))
+        phi = parse_formula("AG (p -> AF q)")
+        session = enumerate_submodels(model, phi, oracle=OracleKind.EXHAUSTIVE)
+        solutions = list(session)
+        assert solutions
+        assert labelings and len(labelings) == len(successor_calls)
+        assert len(set(labelings)) == len(labelings)
+        assert {key[3].formula for key in labelings} == {
+            phi,
+            F.existential_weakening(phi),
+        }
 
 
 class TestStats:

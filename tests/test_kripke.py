@@ -1,9 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
 
-from ctlenum import families
+from ctlenum import families, reductions
 from ctlenum.errors import InvalidModelError, ModelFormatError, RootDeleted, UnknownWorld
 from ctlenum.kripke import (
     DELETE,
@@ -16,6 +17,7 @@ from ctlenum.kripke import (
     WorldElement,
     canonical_serialize,
     closure,
+    compile_model,
     ground_set,
     is_valid_submodel,
     model_to_dict,
@@ -24,7 +26,7 @@ from ctlenum.kripke import (
     submodel_equal,
     validate_model,
 )
-from oracles import naive_valid
+from oracles import naive_valid, reference_closure
 
 
 class TestValidate:
@@ -175,6 +177,38 @@ class TestClosure:
                             assert result is not None
                             assert candidate.worlds <= result.worlds
                             assert candidate.edges <= result.edges
+
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_matches_set_at_a_time_reference(self, connected):
+        # random deletion sets on models whose deaths cascade over several
+        # hops: a chain, larger random models, and hampath-au/ar models
+        rng = random.Random(4111)
+        models = [families.chain_models(8)]
+        models += [
+            families.random_model(rng, n, ("p",), connected=linked)
+            for n in (6, 7, 8)
+            for linked in (True, False)
+            for _ in range(2)
+        ]
+        vertices = ("a", "b", "c")
+        pairs = [(u, v) for u in vertices for v in vertices if u != v]
+        for _ in range(3):
+            edges = tuple(pair for pair in pairs if rng.random() < 0.6)
+            instance = reductions.HampathInstance(vertices, edges, "a", "c")
+            models.append(reductions.hampath_to_au(instance).model)
+            models.append(reductions.hampath_to_ar(instance).model)
+        for model in models:
+            c = compile_model(model)
+            for _ in range(120):
+                density = rng.choice((0.05, 0.15, 0.3, 0.5))
+                del_worlds = sum(
+                    1 << w for w in c.ground_worlds if rng.random() < density
+                )
+                del_edges = sum(1 << e for e in range(c.m) if rng.random() < density)
+                got = c.closure(del_worlds, del_edges, connected)
+                want = reference_closure(c, del_worlds, del_edges, connected)
+                assert got == want, (model, del_worlds, del_edges)
 
 
 def _subsets(items):

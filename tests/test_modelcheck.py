@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -123,6 +124,57 @@ class TestSemanticsOracle:
         for model in models:
             for phi in battery:
                 assert check(model, phi) == naive_check(model, phi)
+
+
+class TestProgramLabeler:
+    # every operator kind, nested fixpoints included; checked subformula by
+    # subformula, on models large enough for paths longer than three steps
+    TEXTS = (
+        "true", "false", "!p", "p & q", "p | !q", "EX p", "AX q",
+        "EF p", "AF q", "EG p", "AG q", "E[p U q]", "A[p U q]",
+        "E[p R q]", "A[p R q]", "E[p U EX E[q U p]]", "A[p R AF q]",
+        "EG EF p", "AG AF p", "AF AG q", "A[!q U (p & AX q)]",
+        "E[(p | q) R EG !p]", "A[E[p U q] U AG (p | q)]",
+        "E[A[p R q] R EX !q]", "AF (q & EX EX EX p)", "EG (p | AX q)",
+        "A[q R E[p U !q]]", "AG (p -> E[q U EG p])", "EX AX EX AX p",
+        "EF (p & q & EX !p)", "AF (p & !q & AX p)", "E[!q U (p & q)]",
+        "A[(p | q) U (p & q)]", "EG !(p & q)", "A[(p & q) R (p | q)]",
+    )
+
+    def test_agreement_with_path_unfolding_on_larger_models(self):
+        rng = random.Random(6203)
+        battery = [parse_formula(text) for text in self.TEXTS]
+        conjunction = battery[0]
+        for phi in battery[1:]:
+            conjunction = F.And(conjunction, phi)
+        # sparse models and rare targets give fixpoints many rounds
+        for n_worlds, edge_prob in itertools.product((4, 5, 6), (0.1, 0.2, 0.35)):
+            for _ in range(4):
+                model = families.random_model(
+                    rng, n_worlds, atoms=("p", "q"), edge_prob=edge_prob
+                )
+                sub = families.random_submodel(rng, model, connected=False)
+                for structure in (None, sub):
+                    mine = label(model, conjunction, structure)
+                    naive = naive_sat_worlds(model, conjunction, structure)
+                    assert list(mine) == list(naive)
+                    for node, worlds in mine.items():
+                        assert worlds == frozenset(naive[node]), (
+                            F.render_formula(node),
+                            model,
+                            structure,
+                        )
+
+    def test_deep_formula_without_recursion(self):
+        # built in code: the parser and the formula walkers still recurse
+        model = KripkeModel.of([("r", ["p"]), ("w", [])], [("r", "r"), ("w", "r")], "r")
+        phi: F.Formula = F.Atom("p")
+        for depth in range(5000):
+            phi = F.Not(phi) if depth % 2 else F.EX(phi)
+        assert check(model, phi)
+        result = label(model, phi)
+        assert len(result) == 5001
+        assert result[phi] == frozenset({"r", "w"})
 
 
 class TestDualities:
