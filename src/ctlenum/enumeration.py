@@ -138,8 +138,7 @@ class _Context:
         if self.profile.afag_chain and not isinstance(phi, F.Atom):
             self.trimmed = F.afag_trim(phi)
         self.fallback_queries = 0
-        weakened = F.existential_weakening(phi)
-        self.weakened = phi if weakened == phi else weakened
+        self.weakened = F.existential_weakening(phi)
         self._program = compile_formula(phi)
         self._weak_program = (
             None
@@ -183,40 +182,57 @@ class _Context:
         return cached
 
 
-_MaskOracle = Callable[["_Context", int, int, int, int], tuple[bool, tuple[int, int] | None]]
+_Masks = tuple[int, int]
+
+# (ctx, keep_w, keep_e, del_w, del_e, base) -> (witness, closure): base is
+# the closure of a subset of the deletions (None: none known); the
+# witness is a satisfying completion or None; the closure is that of the
+# query's deletions when the oracle computed it, else base
+_MaskOracle = Callable[
+    ["_Context", int, int, int, int, _Masks | None], tuple[_Masks | None, _Masks | None]
+]
 
 
 def _oracle_exhaustive(
-    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int
-) -> tuple[bool, tuple[int, int] | None]:
-    witness = _search_completion(ctx, keep_w, keep_e, del_w, del_e)
-    return witness is not None, witness
+    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int,
+    base: _Masks | None,
+) -> tuple[_Masks | None, _Masks | None]:
+    cl = ctx.compiled.shrink(base, del_w, del_e, ctx.connected)
+    if cl is None:
+        return None, None
+    return _search_completion(ctx, keep_w, keep_e, del_w, del_e, cl), cl
 
 
 def _search_completion(
-    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int
-) -> tuple[int, int] | None:
-    """First satisfying completion in keep-before-delete order, or None.
+    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int, cl: _Masks
+) -> _Masks | None:
+    """First satisfying completion in keep-before-delete order, or None;
+    cl is the closure of the query's deletions.
 
-    Each frame carries cl, the closure of its deletions, or None after a
-    real deletion. Only those frames pay for a closure: deciding an
-    element can force others out, and a forced-out keep commitment
-    prunes the branch. The maximal surviving submodel is itself a
-    reachable completion, so satisfaction there accepts at once. Every
-    completion is a submodel of it, so a failed existential weakening
-    there prunes the branch; on the monotone fragment the weakening is
-    phi itself, so the search stops at the first closure. Keep branches
-    and deletions of elements outside cl leave the closure unchanged.
+    Each frame carries a closure and whether it is the frame's own,
+    already checked. A keep child inherits its parent's, which a keep
+    commitment leaves unchanged, and deletions of elements outside it
+    change nothing either. A delete child shrinks the closure it
+    carries; it and the root check theirs: deciding an element can
+    force others out, and a forced-out keep commitment prunes the
+    branch. The maximal surviving submodel is itself a reachable
+    completion, so satisfaction there accepts at once. Every completion
+    is a submodel of it, so a failed existential weakening there prunes
+    the branch; on the monotone fragment the weakening is phi itself, so
+    the search stops at the first closure.
     """
     positions = ctx.positions
     total = len(positions)
-    stack: list[tuple[int, int, int, int, int, tuple[int, int] | None]] = [
-        (0, keep_w, keep_e, del_w, del_e, None)
+    shrink = ctx.compiled.shrink
+    connected = ctx.connected
+    stack: list[tuple[int, int, int, int, int, _Masks, bool]] = [
+        (0, keep_w, keep_e, del_w, del_e, cl, False)
     ]
     while stack:
-        pos, keep_w, keep_e, del_w, del_e, cl = stack.pop()
-        if cl is None:
-            cl = ctx.compiled.closure(del_w, del_e, ctx.connected)
+        pos, keep_w, keep_e, del_w, del_e, cl, checked = stack.pop()
+        if not checked:
+            if pos:  # a delete child: shrink the parent's closure
+                cl = shrink(cl, del_w, del_e, connected)
             if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
                 continue
             if ctx.satisfies(*cl):
@@ -240,8 +256,8 @@ def _search_completion(
             # full assignment: the kept candidate is valid only if it
             # equals the closure, whose satisfaction was already refuted
             continue
-        keep =(pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl)
-        delete = (pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, None)
+        keep = (pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl, True)
+        delete = (pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl, False)
         if ctx.delete_first:
             stack += (keep, delete)
         else:
@@ -250,8 +266,9 @@ def _search_completion(
 
 
 def _oracle_afag(
-    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int
-) -> tuple[bool, tuple[int, int] | None]:
+    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int,
+    base: _Masks | None,
+) -> tuple[_Masks | None, _Masks | None]:
     c = ctx.compiled
     form = ctx.trimmed
     if not (keep_w | keep_e):
@@ -259,19 +276,19 @@ def _oracle_afag(
         # one does, and every connected one lives inside this closure
         cl = c.closure(del_w, del_e, connected=True)
         if cl is None or not _exists_afag_masks(c, *cl, form):
-            return False, None
+            return None, base
         stem, cycle = _lasso_masks(c, *cl, form)
-        return True, _walk_masks(c, stem + cycle + cycle[:1])
+        return _walk_masks(c, stem + cycle + cycle[:1]), base
     if ctx.connected and form.shape == "AG":
         # AG x solutions consist of x-labeled worlds only; an unlabeled
         # root, kept world or kept-edge endpoint fails the closure below
         labeled = c.label_worlds.get(form.atom, 0)
         cl = c.closure(del_w | (c.all_worlds & ~labeled), del_e, connected=True)
         if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
-            return False, None
-        return True, cl
+            return None, base
+        return cl, base
     ctx.fallback_queries += 1
-    return _oracle_exhaustive(ctx, keep_w, keep_e, del_w, del_e)
+    return _oracle_exhaustive(ctx, keep_w, keep_e, del_w, del_e, base)
 
 
 _ORACLES: dict[OracleKind, _MaskOracle] = {
@@ -327,7 +344,6 @@ class EnumerationSession:
         self._oracle = _ORACLES[self.oracle_kind]
         self._limit = limit
         self.stats = EnumerationStats()
-        self._witness: tuple[int, int] | None = None
         self._calls_in_gap = 0
         self._finished = False
 
@@ -352,39 +368,40 @@ class EnumerationSession:
 
     def _solutions(self) -> Iterator[tuple[int, int]]:
         """Depth-first over the ground-set order: a node is queried when
-        popped, and its delete child sits below its keep child."""
+        popped, and its delete child sits below its keep child. A node
+        that the last witness completes needs no oracle call. Each frame
+        carries the closure of its nearest queried ancestor, whose
+        deletions are a subset of its own, for the oracle to shrink."""
         ctx = self._ctx
+        oracle = self._oracle
         positions = ctx.positions
         total = len(positions)
-        stack = [(0, 0, 0, 0, 0)]
+        witness: _Masks | None = None
+        stack: list[tuple[int, int, int, int, int, _Masks | None]] = [
+            (0, 0, 0, 0, 0, None)
+        ]
         while stack:
-            pos, keep_w, keep_e, del_w, del_e = stack.pop()
-            if not self._query(keep_w, keep_e, del_w, del_e):
-                continue
+            pos, keep_w, keep_e, del_w, del_e, cl = stack.pop()
+            self._calls_in_gap += 1
+            if (
+                witness is None
+                or keep_w & ~witness[0]
+                or keep_e & ~witness[1]
+                or del_w & witness[0]
+                or del_e & witness[1]
+            ):
+                found, cl = oracle(ctx, keep_w, keep_e, del_w, del_e, cl)
+                if found is None:
+                    continue
+                witness = found
             if pos == total:
                 yield ctx.compiled.all_worlds & ~del_w, ctx.compiled.all_edges & ~del_e
                 if self.stats.solutions == self._limit:
                     return
                 continue
             wbit, ebit = positions[pos]
-            stack.append((pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit))
-            stack.append((pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e))
-
-    def _query(self, keep_w: int, keep_e: int, del_w: int, del_e: int) -> bool:
-        self._calls_in_gap += 1
-        cached = self._witness
-        if (
-            cached is not None
-            and not keep_w & ~cached[0]
-            and not keep_e & ~cached[1]
-            and not del_w & cached[0]
-            and not del_e & cached[1]
-        ):
-            return True
-        ok, witness = self._oracle(self._ctx, keep_w, keep_e, del_w, del_e)
-        if ok:
-            self._witness = witness
-        return ok
+            stack.append((pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl))
+            stack.append((pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl))
 
 
 def enumerate_submodels(
@@ -419,7 +436,7 @@ def _query_masks(query: ExtensionQuery) -> tuple[_Context, int, int, int, int]:
 
 def _extend(kind: OracleKind, query: ExtensionQuery) -> bool:
     ctx, *masks = _query_masks(query)
-    return _ORACLES[resolve_oracle(kind, ctx)](ctx, *masks)[0]
+    return _ORACLES[resolve_oracle(kind, ctx)](ctx, *masks, None)[0] is not None
 
 
 def extend_exhaustive(query: ExtensionQuery) -> bool:
@@ -446,7 +463,7 @@ def exists_submodel(model: KripkeModel, phi: F.Formula) -> bool:
     # small submodels first: witnesses of sparse instances surface early
     ctx = _Context(model, phi, connected=True, delete_first=True)
     oracle = _ORACLES[resolve_oracle(OracleKind.AUTO, ctx)]
-    return oracle(ctx, 0, 0, 0, 0)[0]
+    return oracle(ctx, 0, 0, 0, 0, None)[0] is not None
 
 
 def brute_force_enumerate(

@@ -174,14 +174,25 @@ def operator_name(phi: Formula) -> str | None:
     return name if name in TEMPORAL_OPS else None
 
 
-def subformulas(phi: Formula) -> Iterator[Formula]:
-    """Post-order traversal; shared shapes appear once per occurrence."""
+def _children(phi: Formula) -> tuple[Formula, ...]:
     if isinstance(phi, (Not, Unary)):
-        yield from subformulas(phi.child)
-    elif isinstance(phi, (And, Or, Binary)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    yield phi
+        return (phi.child,)
+    if isinstance(phi, (And, Or, Binary)):
+        return (phi.left, phi.right)
+    return ()
+
+
+def subformulas(phi: Formula) -> Iterator[Formula]:
+    """Post-order traversal, left subtree first; shared shapes appear once
+    per occurrence. Walks an explicit stack, so depth costs no recursion."""
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+            continue
+        stack.append((node, True))
+        stack.extend((child, False) for child in reversed(_children(node)))
 
 
 def atom_names(phi: Formula) -> set[str]:
@@ -415,7 +426,16 @@ def classify_fragment(phi: Formula) -> FragmentProfile:
     operators = set()
     connectives = set()
     uses_constants = False
-    for node in subformulas(phi):
+    # each distinct node object once: the profile is a set of kinds, and
+    # identity needs no recursive dataclass comparison
+    seen: set[int] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(_children(node))
         name = operator_name(node)
         if name is not None:
             operators.add(name)
@@ -473,18 +493,43 @@ def existential_weakening(phi: Formula) -> Formula | None:
     phi implies its weakening. The weakening is existential with negation
     on atoms only, so it survives adding worlds and edges: a structure
     that fails it has no submodel that satisfies phi.
+
+    Rebuilt bottom-up with an explicit stack; a node whose weakening
+    equals it is returned itself, so phi comes back unchanged (the same
+    object) when it has no A-operator.
     """
-    if isinstance(phi, (Top, Bottom, Atom)):
-        return phi
-    if isinstance(phi, Not):
-        return phi if isinstance(phi.child, Atom) else None
-    kind = _E_TWIN.get(type(phi), type(phi))
-    if isinstance(phi, Unary):
-        child = existential_weakening(phi.child)
-        return None if child is None else kind(child)
-    left = existential_weakening(phi.left)
-    right = existential_weakening(phi.right)
-    return None if left is None or right is None else kind(left, right)
+    weakened: dict[int, Formula] = {}  # id of a node -> its weakening
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        node, expanded = stack.pop()
+        key = id(node)
+        if key in weakened:  # a shared node, reached twice
+            continue
+        if not expanded:
+            if isinstance(node, Not):
+                if not isinstance(node.child, Atom):
+                    # every ancestor of a None is None
+                    return None
+                weakened[key] = node
+                continue
+            children = _children(node)
+            if not children:
+                weakened[key] = node
+                continue
+            stack.append((node, True))
+            stack.extend((child, False) for child in children)
+            continue
+        kind = type(node)
+        twin = _E_TWIN.get(kind, kind)
+        if isinstance(node, Unary):
+            child = weakened[id(node.child)]
+            unchanged = child is node.child
+            weakened[key] = node if twin is kind and unchanged else twin(child)
+        else:
+            left, right = weakened[id(node.left)], weakened[id(node.right)]
+            unchanged = left is node.left and right is node.right
+            weakened[key] = node if twin is kind and unchanged else twin(left, right)
+    return weakened[id(phi)]
 
 
 def dualize_step(phi: Formula) -> Formula:

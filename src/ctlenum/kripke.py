@@ -163,13 +163,17 @@ class Submodel:
     edges: frozenset[tuple[str, str]]
 
 
+# one encoder for every line; json.dumps with separators builds a new one
+# per call
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def canonical_serialize(sub: Submodel) -> str:
-    """One-line JSON with sorted members; equal strings iff equal submodels."""
-    payload = {
-        "worlds": sorted(sub.worlds),
-        "edges": [list(e) for e in sorted(sub.edges)],
-    }
-    return json.dumps(payload, separators=(",", ":"))
+    """One-line JSON with sorted members; equal strings iff equal submodels.
+    Edge tuples encode as JSON arrays."""
+    return _COMPACT_JSON.encode(
+        {"worlds": sorted(sub.worlds), "edges": sorted(sub.edges)}
+    )
 
 
 def submodel_equal(a: Submodel, b: Submodel) -> bool:
@@ -262,7 +266,8 @@ class CompiledModel:
     ground-set order (sorted by source then target index). Per world w:
     out_mask[w] is the mask of its out-edges, incident[w] that of its out-
     and in-edges, pred_worlds[w] the mask of worlds with an edge into w;
-    dst_bit[e] is the world bit of edge e's target.
+    src_bit[e] and dst_bit[e] are the world bits of edge e's source and
+    target, and loop_edges is the mask of the self-loops.
     """
 
     __slots__ = (
@@ -277,7 +282,9 @@ class CompiledModel:
         "out_mask",
         "incident",
         "pred_worlds",
+        "src_bit",
         "dst_bit",
+        "loop_edges",
         "all_worlds",
         "all_edges",
         "label_worlds",
@@ -308,7 +315,11 @@ class CompiledModel:
             self.incident[src] |= 1 << e
             self.incident[dst] |= 1 << e
             self.pred_worlds[dst] |= 1 << src
+        self.src_bit = [1 << src for src, _ in self.edges]
         self.dst_bit = [1 << dst for _, dst in self.edges]
+        self.loop_edges = sum(
+            1 << e for e, (src, dst) in enumerate(self.edges) if src == dst
+        )
         self.all_worlds = (1 << self.n) - 1
         self.all_edges = (1 << self.m) - 1
         self.label_worlds: dict[str, int] = {}
@@ -416,28 +427,89 @@ class CompiledModel:
     def closure(
         self, del_worlds: int, del_edges: int, connected: bool
     ) -> tuple[int, int] | None:
+        """Masks of the maximal valid submodel avoiding the deletions, or
+        None when the root dies: the kernel applied to the whole model,
+        with every world checked once."""
         key = (del_worlds, del_edges, connected)
         try:
             return self._closure_cache[key]
         except KeyError:
             pass
-        result = self._closure_uncached(del_worlds, del_edges, connected)
+        result = self._shrink(
+            self.all_worlds, self.all_edges, del_worlds, del_edges,
+            self.all_worlds, connected, connected,
+        )
+        return self._remember(key, result)
+
+    def shrink(
+        self,
+        base: tuple[int, int] | None,
+        del_worlds: int,
+        del_edges: int,
+        connected: bool,
+    ) -> tuple[int, int] | None:
+        """closure(del_worlds, del_edges, connected) computed from base,
+        the closure of a subset of those deletions under the same
+        connected (None: no closure is known, start from the whole model).
+
+        Closure is monotone, so the answer is the greatest valid submodel
+        of base without the deletions: only the sources of newly deleted
+        edges and the kept predecessors of dying worlds can lose
+        totality, and with connected a world can be stranded only when a
+        removed edge that is not a self-loop had a kept target.
+        """
+        if base is None:
+            return self.closure(del_worlds, del_edges, connected)
+        wmask, emask = base
+        new_worlds = del_worlds & wmask
+        new_edges = del_edges & emask
+        if not (new_worlds or new_edges):
+            return base
+        key = (del_worlds, del_edges, connected)
+        try:
+            return self._closure_cache[key]
+        except KeyError:
+            pass
+        src_bit = self.src_bit
+        sources = 0
+        while new_edges:
+            low = new_edges & -new_edges
+            sources |= src_bit[low.bit_length() - 1]
+            new_edges ^= low
+        result = self._shrink(
+            wmask, emask, new_worlds, del_edges, sources, connected, False
+        )
+        return self._remember(key, result)
+
+    def _remember(
+        self, key: tuple[int, int, bool], result: tuple[int, int] | None
+    ) -> tuple[int, int] | None:
         if len(self._closure_cache) > 1 << 19:
             self._closure_cache.clear()
         self._closure_cache[key] = result
         return result
 
-    def _closure_uncached(
-        self, del_worlds: int, del_edges: int, connected: bool
+    def _shrink(
+        self,
+        wmask: int,
+        emask: int,
+        dying: int,
+        del_edges: int,
+        recheck: int,
+        connected: bool,
+        reach_due: bool,
     ) -> tuple[int, int] | None:
+        """The kernel: the greatest valid submodel of (wmask, emask) without
+        the worlds in dying and the edges in del_edges. Totality is checked
+        at the worlds in recheck and at the kept predecessors of every
+        death; with connected, reach runs when reach_due is set or a
+        removed non-loop edge had a kept target."""
         out_mask, incident, pred_worlds = self.out_mask, self.incident, self.pred_worlds
-        wmask = self.all_worlds & ~del_worlds
-        emask = self.all_edges & ~del_edges
-        dying = del_worlds
-        recheck = wmask
-        # totality: drop worlds with no outgoing kept edge; a death can
-        # only take the last out-edge of one of the dead world's kept
-        # predecessors, so only those are checked again
+        base_edges = emask
+        wmask &= ~dying
+        emask &= ~del_edges
+        # totality: a death can only take the last out-edge of one of the
+        # dead world's kept predecessors, so only those are checked again
         while True:
             while dying:
                 low = dying & -dying
@@ -456,7 +528,21 @@ class CompiledModel:
             wmask &= ~dying
         if not wmask >> self.root & 1:
             return None
-        if connected:
+        if not connected:
+            return wmask, emask
+        if not reach_due:
+            # every world of base was reachable; a kept world can lose
+            # that only through a removed edge into a kept world, and a
+            # removed self-loop lies on no shortest path
+            dst_bit = self.dst_bit
+            removed = base_edges & ~emask & ~self.loop_edges
+            while removed:
+                low = removed & -removed
+                if dst_bit[low.bit_length() - 1] & wmask:
+                    reach_due = True
+                    break
+                removed ^= low
+        if reach_due:
             # a predecessor of an unreachable world is unreachable, so
             # dropping them takes no out-edge of a reachable world and
             # totality still holds

@@ -307,3 +307,80 @@ def rewrite_afag_ops(ops: list[str]) -> list[str]:
         if index is None:
             return ops
         ops[index : index + length] = replacement
+
+
+def reference_subformulas(phi: F.Formula) -> list[F.Formula]:
+    """Recursive post-order, left subtree first, once per occurrence."""
+    if isinstance(phi, (F.Not, F.Unary)):
+        children = [phi.child]
+    elif isinstance(phi, (F.And, F.Or, F.Binary)):
+        children = [phi.left, phi.right]
+    else:
+        children = []
+    out: list[F.Formula] = []
+    for child in children:
+        out += reference_subformulas(child)
+    return out + [phi]
+
+
+_REFERENCE_CONNECTIVES = {F.Not: "!", F.And: "&", F.Or: "|"}
+_REFERENCE_OPERATORS = {
+    F.EX: "EX", F.AX: "AX", F.EF: "EF", F.AF: "AF", F.EG: "EG", F.AG: "AG",
+    F.EU: "EU", F.AU: "AU", F.ER: "ER", F.AR: "AR",
+}
+
+
+def reference_classify(phi: F.Formula) -> F.FragmentProfile:
+    """Fragment profile by a recursive walk over every occurrence."""
+    operators: set[str] = set()
+    connectives: set[str] = set()
+    constants = [False]
+
+    def walk(node: F.Formula) -> None:
+        kind = type(node)
+        if kind in _REFERENCE_OPERATORS:
+            operators.add(_REFERENCE_OPERATORS[kind])
+        elif kind in _REFERENCE_CONNECTIVES:
+            connectives.add(_REFERENCE_CONNECTIVES[kind])
+        elif kind in (F.Top, F.Bottom):
+            constants[0] = True
+        if isinstance(node, (F.Not, F.Unary)):
+            walk(node.child)
+        elif isinstance(node, (F.And, F.Or, F.Binary)):
+            walk(node.left)
+            walk(node.right)
+
+    walk(phi)
+    tags = {"general"}
+    if operators <= {"EX", "EF", "EG", "EU", "ER"} and connectives <= {"&", "|"}:
+        tags.add("monotone-existential")
+    chain = phi
+    while isinstance(chain, (F.AF, F.AG)):
+        chain = chain.child
+    if isinstance(chain, F.Atom):
+        tags.add("afag-chain")
+    return F.FragmentProfile(
+        operators=frozenset(operators),
+        connectives=frozenset(connectives),
+        uses_constants=constants[0],
+        tags=frozenset(tags),
+    )
+
+
+_REFERENCE_E_TWIN = {F.AX: F.EX, F.AF: F.EF, F.AG: F.EG, F.AU: F.EU, F.AR: F.ER}
+
+
+def reference_weakening(phi: F.Formula) -> F.Formula | None:
+    """A-operators replaced by E-twins, recursively; None when a negation
+    sits above a non-atom."""
+    if isinstance(phi, (F.Top, F.Bottom, F.Atom)):
+        return phi
+    if isinstance(phi, F.Not):
+        return phi if isinstance(phi.child, F.Atom) else None
+    kind = _REFERENCE_E_TWIN.get(type(phi), type(phi))
+    if isinstance(phi, F.Unary):
+        child = reference_weakening(phi.child)
+        return None if child is None else kind(child)
+    left = reference_weakening(phi.left)
+    right = reference_weakening(phi.right)
+    return None if left is None or right is None else kind(left, right)

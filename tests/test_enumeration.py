@@ -196,6 +196,24 @@ class TestDeepModels:
             assert check(model, phi, solution)
 
 
+class TestDeepFormulas:
+    def test_session_setup_without_recursion(self):
+        # a 5,000-deep EX chain built in code (the parser still recurses):
+        # classification, weakening and compilation all walk iteratively
+        model = KripkeModel.of(
+            [("r", []), ("w", ["p"])], [("r", "r"), ("r", "w"), ("w", "w")], "r"
+        )
+        phi: F.Formula = F.Atom("p")
+        for _ in range(5000):
+            phi = F.EX(phi)
+        assert exists_submodel(model, phi)
+        session = enumerate_submodels(model, phi, limit=1)
+        (solution,) = list(session)
+        assert session.oracle_kind is OracleKind.MONOTONE
+        assert is_valid_submodel(model, solution)
+        assert check(model, phi, solution)
+
+
 def admissible_oracles(phi):
     kinds = [OracleKind.AUTO, OracleKind.EXHAUSTIVE]
     profile = F.classify_fragment(phi)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctlenum import families
 from ctlenum import formula as F
 from ctlenum.errors import (
     FormulaSyntaxError,
@@ -18,7 +19,12 @@ from ctlenum.formula import (
     render_formula,
     substitute_atoms,
 )
-from oracles import rewrite_afag_ops
+from oracles import (
+    reference_classify,
+    reference_subformulas,
+    reference_weakening,
+    rewrite_afag_ops,
+)
 
 
 def atoms(*names):
@@ -144,6 +150,40 @@ class TestClassify:
         while isinstance(node, (F.AF, F.AG)):
             node = node.child
         assert profile.afag_chain == isinstance(node, F.Atom)
+
+
+    def test_matches_recursive_reference(self):
+        formulas = families.formulas_by_size(("p", "q"), 4000)
+        shared = F.EX(F.Atom("p"))
+        formulas += [F.And(shared, shared), F.AU(shared, F.Not(shared))]
+        for phi in formulas:
+            assert classify_fragment(phi) == reference_classify(phi), phi
+
+
+class TestWalkers:
+    def test_matches_recursive_references(self):
+        for phi in families.formulas_by_size(("p", "q"), 4000):
+            assert list(F.subformulas(phi)) == reference_subformulas(phi)
+            weakened = F.existential_weakening(phi)
+            assert weakened == reference_weakening(phi), phi
+            if weakened == phi:
+                assert weakened is phi
+
+    def test_deep_formulas_without_recursion(self):
+        # built in code: the parser still recurses
+        depth = 5000
+        universal: F.Formula = F.Atom("p")
+        for _ in range(depth):
+            universal = F.AX(universal)
+        assert sum(1 for _ in F.subformulas(universal)) == depth + 1
+        assert classify_fragment(universal).operators == {"AX"}
+        node = F.existential_weakening(universal)
+        for _ in range(depth):
+            assert type(node) is F.EX
+            node = node.child
+        assert node == F.Atom("p")
+        negated = F.Not(F.Not(universal))
+        assert F.existential_weakening(negated) is None
 
 
 class TestDualize:

@@ -10,6 +10,7 @@ from ctlenum.kripke import (
     DELETE,
     KEEP,
     UNDECIDED,
+    CompiledModel,
     EdgeElement,
     KripkeModel,
     PartialDecision,
@@ -92,6 +93,21 @@ class TestCanonicalForm:
             "worlds": ["w0", "w1^1", "w2^0"],
             "edges": [["w0", "w1^1"], ["w1^1", "w2^0"], ["w2^0", "w2^0"]],
         }
+
+    def test_matches_json_dumps_on_awkward_ids(self):
+        ids = ['say "hi"', "back\\slash", "two words", "\u00fcber", "\u65e5\u672c", "tab\there", "r"]
+        sub = Submodel(
+            frozenset(ids), frozenset((a, b) for a in ids for b in ids[::2])
+        )
+        for case in (sub, Submodel(frozenset(ids[:1]), frozenset())):
+            want = json.dumps(
+                {
+                    "worlds": sorted(case.worlds),
+                    "edges": [list(e) for e in sorted(case.edges)],
+                },
+                separators=(",", ":"),
+            )
+            assert canonical_serialize(case) == want
 
     def test_order_insensitive(self):
         a = Submodel(frozenset(["b", "a"]), frozenset([("a", "b"), ("b", "a")]))
@@ -181,34 +197,86 @@ class TestClosure:
 
     @pytest.mark.parametrize("connected", [True, False])
     def test_matches_set_at_a_time_reference(self, connected):
-        # random deletion sets on models whose deaths cascade over several
-        # hops: a chain, larger random models, and hampath-au/ar models
         rng = random.Random(4111)
-        models = [families.chain_models(8)]
-        models += [
-            families.random_model(rng, n, ("p",), connected=linked)
-            for n in (6, 7, 8)
-            for linked in (True, False)
-            for _ in range(2)
-        ]
-        vertices = ("a", "b", "c")
-        pairs = [(u, v) for u in vertices for v in vertices if u != v]
-        for _ in range(3):
-            edges = tuple(pair for pair in pairs if rng.random() < 0.6)
-            instance = reductions.HampathInstance(vertices, edges, "a", "c")
-            models.append(reductions.hampath_to_au(instance).model)
-            models.append(reductions.hampath_to_ar(instance).model)
-        for model in models:
+        for model in _cascading_models(rng):
             c = compile_model(model)
             for _ in range(120):
-                density = rng.choice((0.05, 0.15, 0.3, 0.5))
-                del_worlds = sum(
-                    1 << w for w in c.ground_worlds if rng.random() < density
-                )
-                del_edges = sum(1 << e for e in range(c.m) if rng.random() < density)
+                del_worlds, del_edges = _random_deletions(rng, c)
                 got = c.closure(del_worlds, del_edges, connected)
                 want = reference_closure(c, del_worlds, del_edges, connected)
                 assert got == want, (model, del_worlds, del_edges)
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_shrink_matches_set_at_a_time_reference(self, connected):
+        # the kernel from the closure of a subset of the deletions: a
+        # random subset, none, and all of them (nothing left to remove);
+        # a fresh compiled model per call keeps the closure cache from
+        # answering in the kernel's place
+        rng = random.Random(5113)
+        for model in _cascading_models(rng):
+            c = compile_model(model)
+            for _ in range(60):
+                del_worlds, del_edges = _random_deletions(rng, c)
+                want = reference_closure(c, del_worlds, del_edges, connected)
+                part_worlds = del_worlds & rng.getrandbits(c.n)
+                part_edges = del_edges & rng.getrandbits(c.m)
+                for subset in ((part_worlds, part_edges), (0, 0), (del_worlds, del_edges)):
+                    base = CompiledModel(model).closure(*subset, connected)
+                    if base is None:
+                        assert want is None
+                        continue
+                    got = CompiledModel(model).shrink(
+                        base, del_worlds, del_edges, connected
+                    )
+                    assert got == want, (model, subset, del_worlds, del_edges)
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_shrink_chain_matches_reference(self, connected):
+        # one deletion at a time, each closure shrinking the one before,
+        # as along a delete path of the search
+        rng = random.Random(6007)
+        for model in _cascading_models(rng):
+            c = CompiledModel(model)
+            order = [(1 << w, 0) for w in c.ground_worlds]
+            order += [(0, 1 << e) for e in range(c.m)]
+            for _ in range(8):
+                rng.shuffle(order)
+                cl, del_worlds, del_edges = None, 0, 0
+                for wbit, ebit in order:
+                    del_worlds |= wbit
+                    del_edges |= ebit
+                    cl = c.shrink(cl, del_worlds, del_edges, connected)
+                    want = reference_closure(c, del_worlds, del_edges, connected)
+                    assert cl == want, (model, del_worlds, del_edges)
+                    if cl is None:
+                        break
+
+
+def _cascading_models(rng):
+    """Models whose deaths cascade over several hops: a chain, larger
+    random models, and hampath-au/ar models."""
+    models = [families.chain_models(8)]
+    models += [
+        families.random_model(rng, n, ("p",), connected=linked)
+        for n in (6, 7, 8)
+        for linked in (True, False)
+        for _ in range(2)
+    ]
+    vertices = ("a", "b", "c")
+    pairs = [(u, v) for u in vertices for v in vertices if u != v]
+    for _ in range(3):
+        edges = tuple(pair for pair in pairs if rng.random() < 0.6)
+        instance = reductions.HampathInstance(vertices, edges, "a", "c")
+        models.append(reductions.hampath_to_au(instance).model)
+        models.append(reductions.hampath_to_ar(instance).model)
+    return models
+
+
+def _random_deletions(rng, c):
+    density = rng.choice((0.05, 0.15, 0.3, 0.5))
+    del_worlds = sum(1 << w for w in c.ground_worlds if rng.random() < density)
+    del_edges = sum(1 << e for e in range(c.m) if rng.random() < density)
+    return del_worlds, del_edges
 
 
 def _subsets(items):

@@ -166,7 +166,7 @@ class TestProgramLabeler:
                         )
 
     def test_deep_formula_without_recursion(self):
-        # built in code: the parser and the formula walkers still recurse
+        # built in code: the parser still recurses
         model = KripkeModel.of([("r", ["p"]), ("w", [])], [("r", "r"), ("w", "r")], "r")
         phi: F.Formula = F.Atom("p")
         for depth in range(5000):
