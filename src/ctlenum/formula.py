@@ -35,7 +35,7 @@ class Formula:
     Nodes are immutable, so each one hashes its fields once, when it is
     built, and hashing is a lookup afterwards instead of a walk over the
     subtree. The value is the dataclass one (the hash of the field tuple);
-    equality is the generated field-wise comparison.
+    equality is the field-wise comparison, walked without recursion.
     """
 
     def __post_init__(self):
@@ -152,13 +152,35 @@ def _stored_hash(node: Formula) -> int:
     return node._hash
 
 
-# @dataclass gives every frozen class its own re-hashing __hash__;
-# replace it on all of them with the hash stored at construction
+def _structural_eq(node: Formula, other: object) -> bool:
+    """Field-wise equality on an explicit stack, so depth costs no
+    recursion; a differing kind or stored hash rejects at once."""
+    if type(other) is not type(node):
+        return NotImplemented
+    stack = [(node, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b) or a._hash != b._hash:
+            return False
+        if type(a) is Atom:
+            if a.name != b.name:
+                return False
+        else:
+            stack.extend(zip(_children(a), _children(b)))
+    return True
+
+
+# @dataclass gives every frozen class its own re-hashing __hash__ and
+# recursive __eq__; replace them on all of them with the hash stored at
+# construction and the iterative comparison
 for _kind in (
     Formula, Top, Bottom, Atom, Not, And, Or, Unary, Binary,
     *UNARY_TEMPORAL.values(), *BINARY_TEMPORAL.values(),
 ):
     _kind.__hash__ = _stored_hash
+    _kind.__eq__ = _structural_eq
 
 TEMPORAL_OPS = set(UNARY_TEMPORAL) | set(BINARY_TEMPORAL)
 EXISTENTIAL_OPS = {"EX", "EF", "EG", "EU", "ER"}

@@ -157,10 +157,16 @@ class PartialDecision:
 
 @dataclass(frozen=True)
 class Submodel:
-    """Kept world-id set and kept edge set; labels and root are inherited."""
+    """Kept world-id set and kept edge set; labels and root are inherited.
+
+    CompiledModel.submodel also stores the canonical line (not a field, so
+    equality, hashing and repr ignore it); a hand-built submodel has none.
+    """
 
     worlds: frozenset[str]
     edges: frozenset[tuple[str, str]]
+
+    _line = None
 
 
 # one encoder for every line; json.dumps with separators builds a new one
@@ -171,6 +177,9 @@ _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 def canonical_serialize(sub: Submodel) -> str:
     """One-line JSON with sorted members; equal strings iff equal submodels.
     Edge tuples encode as JSON arrays."""
+    line = sub._line
+    if line is not None:
+        return line
     return _COMPACT_JSON.encode(
         {"worlds": sorted(sub.worlds), "edges": sorted(sub.edges)}
     )
@@ -267,7 +276,8 @@ class CompiledModel:
     out_mask[w] is the mask of its out-edges, incident[w] that of its out-
     and in-edges, pred_worlds[w] the mask of worlds with an edge into w;
     src_bit[e] and dst_bit[e] are the world bits of edge e's source and
-    target, and loop_edges is the mask of the self-loops.
+    target, and loop_edges is the mask of the self-loops. The tables that
+    turn masks into canonical lines are built on the first submodel call.
     """
 
     __slots__ = (
@@ -291,6 +301,7 @@ class CompiledModel:
         "ground_worlds",
         "ground_size",
         "_closure_cache",
+        "_line_tables",
     )
 
     def __init__(self, model: KripkeModel):
@@ -329,21 +340,27 @@ class CompiledModel:
         self.ground_worlds = [i for i in range(self.n) if i != self.root]
         self.ground_size = len(self.ground_worlds) + self.m
         self._closure_cache: dict[tuple[int, int, bool], tuple[int, int] | None] = {}
+        self._line_tables: tuple[_CanonicalOrder, _CanonicalOrder] | None = None
 
     def submodel(self, wmask: int, emask: int) -> Submodel:
-        ids, edges = self.ids, self.edges
-        worlds = []
-        while wmask:
-            low = wmask & -wmask
-            worlds.append(ids[low.bit_length() - 1])
-            wmask ^= low
-        kept = []
-        while emask:
-            low = emask & -emask
-            src, dst = edges[low.bit_length() - 1]
-            kept.append((ids[src], ids[dst]))
-            emask ^= low
-        return Submodel(worlds=frozenset(worlds), edges=frozenset(kept))
+        """The submodel of the masks, carrying its canonical line: byte for
+        byte what canonical_serialize encodes for an equal hand-built one."""
+        if self._line_tables is None:
+            ids = self.ids
+            self._line_tables = (
+                _CanonicalOrder(ids),
+                _CanonicalOrder([(ids[src], ids[dst]) for src, dst in self.edges]),
+            )
+        world_order, edge_order = self._line_tables
+        worlds, world_text = world_order.members(wmask)
+        edges, edge_text = edge_order.members(emask)
+        sub = Submodel(frozenset(worlds), frozenset(edges))
+        object.__setattr__(
+            sub,
+            "_line",
+            '{"worlds":[' + world_text + '],"edges":[' + edge_text + "]}",
+        )
+        return sub
 
     def world_bit(self, wid: str) -> int:
         i = self.index.get(wid)
@@ -387,12 +404,19 @@ class CompiledModel:
         connected set every kept world is reachable from the root."""
         if not wmask >> self.root & 1:
             return False
-        for w in _bits(wmask):
-            if not self.out_mask[w] & emask:
+        out_mask, incident = self.out_mask, self.incident
+        kept = wmask
+        while kept:
+            low = kept & -kept
+            if not out_mask[low.bit_length() - 1] & emask:
                 return False
-        for w in _bits(self.all_worlds & ~wmask):
-            if self.incident[w] & emask:
+            kept ^= low
+        dropped = self.all_worlds & ~wmask
+        while dropped:
+            low = dropped & -dropped
+            if incident[low.bit_length() - 1] & emask:
                 return False
+            dropped ^= low
         return not connected or self.reach(emask, self.root) == wmask
 
     def reach(self, emask: int, start: int) -> int:
@@ -553,6 +577,70 @@ class CompiledModel:
                 emask &= ~incident[low.bit_length() - 1]
                 stranded ^= low
         return wmask, emask
+
+
+class _CanonicalOrder:
+    """The worlds (ids) or the edges (id pairs) of a compiled model, by
+    index: each item's rank in sorted order, which is the order of
+    canonical_serialize, and by rank its fragment from the same encoder.
+
+    members answers a mask eight bits at a time; the answer for each
+    (chunk position, chunk value) is worked out on first use and kept,
+    at most 2 * 256 entries per eight items.
+    """
+
+    __slots__ = ("items", "rank_bit", "fragments", "picks", "joins")
+
+    def __init__(self, items: list):
+        order = sorted(range(len(items)), key=items.__getitem__)
+        self.items = items
+        self.rank_bit = [0] * len(items)
+        for r, i in enumerate(order):
+            self.rank_bit[i] = 1 << r
+        self.fragments = [_COMPACT_JSON.encode(items[i]) for i in order]
+        chunks = (len(items) + 7) // 8
+        # picks: index chunk -> (its items, the mask of their ranks);
+        # joins: rank chunk -> its fragments joined in rank order
+        self.picks: list[dict[int, tuple[list, int]]] = [{} for _ in range(chunks)]
+        self.joins: list[dict[int, str]] = [{} for _ in range(chunks)]
+
+    def members(self, mask: int) -> tuple[list, str]:
+        """The items of mask in index order, and their fragments joined
+        with commas in rank order."""
+        picks, joins = self.picks, self.joins
+        items: list = []
+        ranks = k = 0
+        while mask:
+            chunk = mask & 255
+            if chunk:
+                picked = picks[k].get(chunk)
+                if picked is None:
+                    picked = picks[k][chunk] = self._pick(k, chunk)
+                items += picked[0]
+                ranks |= picked[1]
+            mask >>= 8
+            k += 1
+        parts = []
+        k = 0
+        while ranks:
+            chunk = ranks & 255
+            if chunk:
+                text = joins[k].get(chunk)
+                if text is None:
+                    text = joins[k][chunk] = ",".join(
+                        self.fragments[r] for r in _bits(chunk << 8 * k)
+                    )
+                parts.append(text)
+            ranks >>= 8
+            k += 1
+        return items, ",".join(parts)
+
+    def _pick(self, k: int, chunk: int) -> tuple[list, int]:
+        indices = list(_bits(chunk << 8 * k))
+        ranks = 0
+        for i in indices:
+            ranks |= self.rank_bit[i]
+        return [self.items[i] for i in indices], ranks
 
 
 def _bits(mask: int) -> Iterator[int]:

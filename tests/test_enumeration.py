@@ -213,6 +213,26 @@ class TestDeepFormulas:
         assert is_valid_submodel(model, solution)
         assert check(model, phi, solution)
 
+    def test_equality_of_separately_built_chains(self):
+        # two equal 5,000-deep chains that share no node: the slot dict of
+        # compile_formula compares them, and so does ==
+        model = KripkeModel.of(
+            [("r", []), ("w", ["p"])], [("r", "r"), ("r", "w"), ("w", "w")], "r"
+        )
+
+        def chain(leaf: str = "p") -> F.Formula:
+            phi: F.Formula = F.Atom(leaf)
+            for _ in range(5000):
+                phi = F.EX(phi)
+            return phi
+
+        both = F.And(chain(), chain())
+        assert check(model, both)
+        assert exists_submodel(model, both)
+        assert chain() == chain()
+        assert chain() != chain("q")
+        assert chain() != F.EX(chain())
+
 
 def admissible_oracles(phi):
     kinds = [OracleKind.AUTO, OracleKind.EXHAUSTIVE]

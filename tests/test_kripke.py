@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 
 import pytest
 
 from ctlenum import families, reductions
+from ctlenum.enumeration import brute_force_enumerate, enumerate_submodels
 from ctlenum.errors import InvalidModelError, ModelFormatError, RootDeleted, UnknownWorld
 from ctlenum.kripke import (
     DELETE,
@@ -27,6 +31,7 @@ from ctlenum.kripke import (
     submodel_equal,
     validate_model,
 )
+from ctlenum.formula import parse_formula
 from oracles import naive_valid, reference_closure
 
 
@@ -114,6 +119,102 @@ class TestCanonicalForm:
         b = Submodel(frozenset(["a", "b"]), frozenset([("b", "a"), ("a", "b")]))
         assert submodel_equal(a, b)
         assert canonical_serialize(a) == canonical_serialize(b)
+
+
+def _reference_line(sub: Submodel) -> str:
+    """The sort-and-encode line: a hand-built copy carries no stored line."""
+    plain = Submodel(frozenset(sub.worlds), frozenset(sub.edges))
+    assert plain._line is None
+    return canonical_serialize(plain)
+
+
+def _assert_mask_lines(model: KripkeModel, samples: int, rng: random.Random):
+    """Submodels built from masks (all of them when few, else a random
+    sample, the empty and the full masks included) serialize like their
+    hand-built copies."""
+    compiled = CompiledModel(model)
+    if compiled.n + compiled.m <= 12:
+        pairs = itertools.product(range(1 << compiled.n), range(1 << compiled.m))
+    else:
+        pairs = [(0, 0), (compiled.all_worlds, compiled.all_edges)] + [
+            (rng.getrandbits(compiled.n), rng.getrandbits(compiled.m))
+            for _ in range(samples)
+        ]
+    for wmask, emask in pairs:
+        sub = compiled.submodel(wmask, emask)
+        assert sub._line is not None
+        assert canonical_serialize(sub) == _reference_line(sub)
+
+
+class TestMaskBuiltLine:
+    """CompiledModel.submodel joins pre-encoded fragments in rank order;
+    the sort-and-encode path of canonical_serialize is the reference."""
+
+    def test_awkward_ids(self):
+        ids = ['say "hi"', "back\\slash", "two words", "über", "日本",
+               "tab\there", "r", "", "\U0001f600", "new\nline", "[x]", "a,b"]
+        rng = random.Random(7)
+        edges = [(a, b) for a in ids for b in ids if rng.random() < 0.3]
+        edges += [(a, a) for a in ids if (a, a) not in edges]
+        model = KripkeModel.of([(w, []) for w in ids], edges, "r")
+        assert len(edges) > 16  # several eight-bit chunks of edges
+        _assert_mask_lines(model, 400, rng)
+        a, b, c = ids[:3]
+        small = KripkeModel.of([(w, []) for w in (a, b, c)], [(a, b), (b, c), (c, a)], a)
+        _assert_mask_lines(small, 0, rng)
+
+    def test_string_order_differs_from_declaration_order(self):
+        ids = [f"w{i}" for i in range(1, 20)]
+        assert sorted(ids) != ids  # "w10" sorts before "w2"
+        edges = [(a, b) for a, b in zip(ids, ids[1:])] + [(w, w) for w in ids]
+        model = KripkeModel.of([(w, []) for w in ids], edges, "w1")
+        _assert_mask_lines(model, 400, random.Random(8))
+
+    def test_edge_id_order_differs_from_index_order(self):
+        # edges are numbered by world index; "b" is declared first, so
+        # ("b", "a") has a lower index than ("a", "b") but sorts after it
+        model = KripkeModel.of(
+            [("b", []), ("a", []), ("c", [])],
+            [("a", "b"), ("b", "a"), ("c", "a"), ("a", "c"), ("b", "c"), ("c", "c")],
+            "b",
+        )
+        compiled = CompiledModel(model)
+        pairs = [(compiled.ids[s], compiled.ids[t]) for s, t in compiled.edges]
+        assert sorted(pairs) != pairs
+        _assert_mask_lines(model, 0, random.Random(9))
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_solution_streams_on_small_models(self, connected):
+        texts = ("true", "EF p", "AG q", "A[p U q]", "EG (p | q)", "AX !p")
+        formulas = [parse_formula(t) for t in texts]
+        models = list(families.all_models(3, atoms=("p", "q"), connected=connected))[::120]
+        seen = 0
+        for model in models:
+            for phi in formulas:
+                solutions = list(enumerate_submodels(model, phi, connected=connected))
+                solutions += brute_force_enumerate(model, phi, connected=connected)
+                for sub in solutions:
+                    assert canonical_serialize(sub) == _reference_line(sub)
+                seen += len(solutions)
+        assert seen > 500
+
+    def test_copies_of_an_engine_submodel(self, microwave):
+        sub = next(iter(enumerate_submodels(microwave, parse_formula("EF true"))))
+        line = _reference_line(sub)
+        assert canonical_serialize(sub) == line
+        for other in (
+            pickle.loads(pickle.dumps(sub)),
+            copy.copy(sub),
+            copy.deepcopy(sub),
+            dataclasses.replace(sub),
+        ):
+            assert other == sub
+            assert hash(other) == hash(sub)
+            assert canonical_serialize(other) == line
+        assert "_line" not in repr(sub)
+        fewer = dataclasses.replace(sub, edges=frozenset())
+        assert canonical_serialize(fewer) == _reference_line(fewer)
+        assert dataclasses.fields(sub) == dataclasses.fields(Submodel(frozenset(), frozenset()))
 
 
 class TestClosure:
