@@ -6,6 +6,14 @@ query the active oracle rejects, and emits at full assignments only. Full
 assignments are in bijection with candidate submodels, so the output
 stream is duplicate-free by construction.
 
+Structure is pruned before any oracle is asked. Each node's closure is
+shrunk from the one it carries with its keep commitments at hand, and a
+node whose closure loses the root or a keep is dropped; the branch step
+folds undecided elements outside the closure into the deletions and
+pushes no delete child that would strand a world that must stay. Each
+prune tests a necessary condition of validity, so the stream is the same
+as without them.
+
 Three extension oracles are provided: an exhaustive completion search
 (correct for full CTL, worst-case exponential), a polynomial one for
 negation-free existential formulas, which is that search's first step,
@@ -151,6 +159,16 @@ class _Context:
         self.positions: list[tuple[int, int]] = [
             (1 << w, 0) for w in c.ground_worlds
         ] + [(0, 1 << e) for e in range(c.m)]
+        self.root_bit = 1 << c.root
+        # per edge position, for _branch's delete rules: the source bit,
+        # the source's out-edges, with connected the target bit unless it
+        # is a self-loop, and the target's in-edges from other worlds
+        self.edge_rules: list[tuple[int, int, int, int] | None] = [None] * len(
+            c.ground_worlds
+        ) + [
+            (1 << s, c.out_mask[s], 1 << t if connected and s != t else 0, c.in_mask[t])
+            for s, t in c.edges
+        ]
 
     def satisfies(self, wmask: int, emask: int) -> bool:
         return self._holds(self._sat_cache, self._program, wmask, emask)
@@ -184,47 +202,84 @@ class _Context:
 
 _Masks = tuple[int, int]
 
-# (ctx, keep_w, keep_e, del_w, del_e, base) -> (witness, closure): base is
-# the closure of a subset of the deletions (None: none known); the
-# witness is a satisfying completion or None; the closure is that of the
-# query's deletions when the oracle computed it, else base
-_MaskOracle = Callable[
-    ["_Context", int, int, int, int, _Masks | None], tuple[_Masks | None, _Masks | None]
-]
+# (ctx, keep_w, keep_e, del_w, del_e, cl) -> witness: cl is the closure of
+# the query's deletions and holds every keep commitment; the witness is a
+# satisfying completion or None
+_MaskOracle = Callable[["_Context", int, int, int, int, _Masks], _Masks | None]
 
 
-def _oracle_exhaustive(
-    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int,
-    base: _Masks | None,
-) -> tuple[_Masks | None, _Masks | None]:
-    cl = ctx.compiled.shrink(base, del_w, del_e, ctx.connected)
-    if cl is None:
-        return None, None
-    return _search_completion(ctx, keep_w, keep_e, del_w, del_e, cl), cl
+def _node_closure(
+    ctx: _Context, base: _Masks | None, keep_w: int, keep_e: int, del_w: int, del_e: int
+) -> _Masks | None:
+    """The closure of the deletions, shrunk from base (see
+    CompiledModel.shrink), or None when it loses the root or a keep
+    commitment: then no completion is a valid submodel."""
+    cl = ctx.compiled.shrink(base, del_w, del_e, ctx.connected, keep_w)
+    if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
+        return None
+    return cl
+
+
+def _branch(
+    ctx: _Context, pos: int, keep_w: int, keep_e: int, del_w: int, del_e: int,
+    cl: _Masks,
+) -> tuple[int, int, int, int, int, bool]:
+    """The branch step of the engine and of the completion search.
+
+    Scans from position pos; cl holds every completion of the node.
+    Undecided elements outside cl are folded into the deletions: keeping
+    one is contradictory and deleting it changes nothing. Returns
+    (pos, del_w, del_e, wbit, ebit, deletable) for the first undecided
+    element inside cl, or pos == total when none is left. The element's
+    delete child holds no valid submodel, and is not deletable, when the
+    element is the last out-edge inside cl of a kept world or the root,
+    or, with connected, the last edge inside cl into a kept non-root
+    world from another world.
+    """
+    positions = ctx.positions
+    total = len(positions)
+    cw, ce = cl
+    decided_w = keep_w | del_w
+    decided_e = keep_e | del_e
+    while pos < total:
+        wbit, ebit = positions[pos]
+        if not (wbit & decided_w or ebit & decided_e):
+            if wbit & cw or ebit & ce:
+                break
+            del_w |= wbit
+            del_e |= ebit
+        pos += 1
+    else:
+        return total, del_w, del_e, 0, 0, False
+    if ebit:
+        src_bit, out, dst_bit, into = ctx.edge_rules[pos]
+        rest = ce ^ ebit
+        if (src_bit & (keep_w | ctx.root_bit) and not out & rest) or (
+            dst_bit & keep_w and not into & rest
+        ):
+            return pos, del_w, del_e, wbit, ebit, False
+    return pos, del_w, del_e, wbit, ebit, True
 
 
 def _search_completion(
     ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int, cl: _Masks
 ) -> _Masks | None:
-    """First satisfying completion in keep-before-delete order, or None;
-    cl is the closure of the query's deletions.
+    """The exhaustive oracle: the first satisfying completion in
+    keep-before-delete order, or None.
 
     Each frame carries a closure and whether it is the frame's own,
     already checked. A keep child inherits its parent's, which a keep
-    commitment leaves unchanged, and deletions of elements outside it
-    change nothing either. A delete child shrinks the closure it
-    carries; it and the root check theirs: deciding an element can
-    force others out, and a forced-out keep commitment prunes the
-    branch. The maximal surviving submodel is itself a reachable
-    completion, so satisfaction there accepts at once. Every completion
-    is a submodel of it, so a failed existential weakening there prunes
-    the branch; on the monotone fragment the weakening is phi itself, so
-    the search stops at the first closure.
+    commitment leaves unchanged, and so do the deletions _branch folds.
+    A delete child shrinks the closure it carries and is dropped when
+    that loses a keep commitment; _branch pushes none that surely would.
+    The root frame's closure is the query's, and it and each delete
+    child check theirs. The maximal surviving submodel is itself a
+    reachable completion, so satisfaction there accepts at once. Every
+    completion is a submodel of it, so a failed existential weakening
+    there prunes the branch; on the monotone fragment the weakening is
+    phi itself, so the search stops at the first closure.
     """
-    positions = ctx.positions
-    total = len(positions)
-    shrink = ctx.compiled.shrink
-    connected = ctx.connected
+    total = len(ctx.positions)
     stack: list[tuple[int, int, int, int, int, _Masks, bool]] = [
         (0, keep_w, keep_e, del_w, del_e, cl, False)
     ]
@@ -232,31 +287,24 @@ def _search_completion(
         pos, keep_w, keep_e, del_w, del_e, cl, checked = stack.pop()
         if not checked:
             if pos:  # a delete child: shrink the parent's closure
-                cl = shrink(cl, del_w, del_e, connected)
-            if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
-                continue
+                cl = _node_closure(ctx, cl, keep_w, keep_e, del_w, del_e)
+                if cl is None:
+                    continue
             if ctx.satisfies(*cl):
                 return cl
             if not ctx.may_extend(*cl):
                 continue
-        cw, ce = cl
-        decided_w = keep_w | del_w
-        decided_e = keep_e | del_e
-        while pos < total:
-            wbit, ebit = positions[pos]
-            if not (wbit & decided_w or ebit & decided_e):
-                if wbit & cw or ebit & ce:
-                    break
-                # outside the surviving submodel already: keeping it is
-                # contradictory and deleting it changes nothing
-                del_w |= wbit
-                del_e |= ebit
-            pos += 1
+        pos, del_w, del_e, wbit, ebit, deletable = _branch(
+            ctx, pos, keep_w, keep_e, del_w, del_e, cl
+        )
         if pos == total:
             # full assignment: the kept candidate is valid only if it
             # equals the closure, whose satisfaction was already refuted
             continue
         keep = (pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl, True)
+        if not deletable:
+            stack.append(keep)
+            continue
         delete = (pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl, False)
         if ctx.delete_first:
             stack += (keep, delete)
@@ -266,34 +314,35 @@ def _search_completion(
 
 
 def _oracle_afag(
-    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int,
-    base: _Masks | None,
-) -> tuple[_Masks | None, _Masks | None]:
+    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int, cl: _Masks
+) -> _Masks | None:
     c = ctx.compiled
     form = ctx.trimmed
     if not (keep_w | keep_e):
         # deletions only: a satisfying submodel exists iff a connected
         # one does, and every connected one lives inside this closure
-        cl = c.closure(del_w, del_e, connected=True)
-        if cl is None or not _exists_afag_masks(c, *cl, form):
-            return None, base
+        if not ctx.connected:
+            cl = c.closure(del_w, del_e, connected=True)
+            if cl is None:
+                return None
+        if not _exists_afag_masks(c, *cl, form):
+            return None
         stem, cycle = _lasso_masks(c, *cl, form)
-        return _walk_masks(c, stem + cycle + cycle[:1]), base
+        return _walk_masks(c, stem + cycle + cycle[:1])
     if ctx.connected and form.shape == "AG":
         # AG x solutions consist of x-labeled worlds only; an unlabeled
         # root, kept world or kept-edge endpoint fails the closure below
         labeled = c.label_worlds.get(form.atom, 0)
-        cl = c.closure(del_w | (c.all_worlds & ~labeled), del_e, connected=True)
-        if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
-            return None, base
-        return cl, base
+        return _node_closure(
+            ctx, cl, keep_w, keep_e, del_w | (c.all_worlds & ~labeled), del_e
+        )
     ctx.fallback_queries += 1
-    return _oracle_exhaustive(ctx, keep_w, keep_e, del_w, del_e, base)
+    return _search_completion(ctx, keep_w, keep_e, del_w, del_e, cl)
 
 
 _ORACLES: dict[OracleKind, _MaskOracle] = {
-    OracleKind.EXHAUSTIVE: _oracle_exhaustive,
-    OracleKind.MONOTONE: _oracle_exhaustive,
+    OracleKind.EXHAUSTIVE: _search_completion,
+    OracleKind.MONOTONE: _search_completion,
     OracleKind.AFAG: _oracle_afag,
 }
 
@@ -367,15 +416,17 @@ class EnumerationSession:
         return calls
 
     def _solutions(self) -> Iterator[tuple[int, int]]:
-        """Depth-first over the ground-set order: a node is queried when
-        popped, and its delete child sits below its keep child. A node
-        that the last witness completes needs no oracle call. Each frame
-        carries the closure of its nearest queried ancestor, whose
-        deletions are a subset of its own, for the oracle to shrink."""
+        """Depth-first over the ground-set order, a node's keep child
+        popped before its delete child. A node that the last witness
+        completes costs nothing. Any other node shrinks the closure it
+        carries, that of its nearest checked ancestor, to its own, and
+        is dropped without an oracle call when that loses the root or a
+        keep commitment; the oracle sees only nodes whose closure holds
+        every keep."""
         ctx = self._ctx
         oracle = self._oracle
-        positions = ctx.positions
-        total = len(positions)
+        total = len(ctx.positions)
+        all_worlds, all_edges = ctx.compiled.all_worlds, ctx.compiled.all_edges
         witness: _Masks | None = None
         stack: list[tuple[int, int, int, int, int, _Masks | None]] = [
             (0, 0, 0, 0, 0, None)
@@ -390,17 +441,23 @@ class EnumerationSession:
                 or del_w & witness[0]
                 or del_e & witness[1]
             ):
-                found, cl = oracle(ctx, keep_w, keep_e, del_w, del_e, cl)
+                cl = _node_closure(ctx, cl, keep_w, keep_e, del_w, del_e)
+                if cl is None:
+                    continue
+                found = oracle(ctx, keep_w, keep_e, del_w, del_e, cl)
                 if found is None:
                     continue
                 witness = found
+            pos, del_w, del_e, wbit, ebit, deletable = _branch(
+                ctx, pos, keep_w, keep_e, del_w, del_e, cl
+            )
             if pos == total:
-                yield ctx.compiled.all_worlds & ~del_w, ctx.compiled.all_edges & ~del_e
+                yield all_worlds & ~del_w, all_edges & ~del_e
                 if self.stats.solutions == self._limit:
                     return
                 continue
-            wbit, ebit = positions[pos]
-            stack.append((pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl))
+            if deletable:
+                stack.append((pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl))
             stack.append((pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl))
 
 
@@ -434,9 +491,17 @@ def _query_masks(query: ExtensionQuery) -> tuple[_Context, int, int, int, int]:
     return ctx, keep_w, keep_e, del_w, del_e
 
 
+def _decide(
+    ctx: _Context, kind: OracleKind, keep_w: int, keep_e: int, del_w: int, del_e: int
+) -> bool:
+    oracle = _ORACLES[resolve_oracle(kind, ctx)]
+    cl = _node_closure(ctx, None, keep_w, keep_e, del_w, del_e)
+    return cl is not None and oracle(ctx, keep_w, keep_e, del_w, del_e, cl) is not None
+
+
 def _extend(kind: OracleKind, query: ExtensionQuery) -> bool:
     ctx, *masks = _query_masks(query)
-    return _ORACLES[resolve_oracle(kind, ctx)](ctx, *masks, None)[0] is not None
+    return _decide(ctx, kind, *masks)
 
 
 def extend_exhaustive(query: ExtensionQuery) -> bool:
@@ -462,8 +527,7 @@ def exists_submodel(model: KripkeModel, phi: F.Formula) -> bool:
     require_valid(model)
     # small submodels first: witnesses of sparse instances surface early
     ctx = _Context(model, phi, connected=True, delete_first=True)
-    oracle = _ORACLES[resolve_oracle(OracleKind.AUTO, ctx)]
-    return oracle(ctx, 0, 0, 0, 0, None)[0] is not None
+    return _decide(ctx, OracleKind.AUTO, 0, 0, 0, 0)
 
 
 def brute_force_enumerate(

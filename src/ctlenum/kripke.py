@@ -274,7 +274,8 @@ class CompiledModel:
     Worlds are numbered in declaration order; edges are numbered in the
     ground-set order (sorted by source then target index). Per world w:
     out_mask[w] is the mask of its out-edges, incident[w] that of its out-
-    and in-edges, pred_worlds[w] the mask of worlds with an edge into w;
+    and in-edges, in_mask[w] that of its in-edges from other worlds,
+    pred_worlds[w] the mask of worlds with an edge into w;
     src_bit[e] and dst_bit[e] are the world bits of edge e's source and
     target, and loop_edges is the mask of the self-loops. The tables that
     turn masks into canonical lines are built on the first submodel call.
@@ -291,6 +292,7 @@ class CompiledModel:
         "m",
         "out_mask",
         "incident",
+        "in_mask",
         "pred_worlds",
         "src_bit",
         "dst_bit",
@@ -326,6 +328,9 @@ class CompiledModel:
             self.incident[src] |= 1 << e
             self.incident[dst] |= 1 << e
             self.pred_worlds[dst] |= 1 << src
+        self.in_mask = [
+            incident & ~out for incident, out in zip(self.incident, self.out_mask)
+        ]
         self.src_bit = [1 << src for src, _ in self.edges]
         self.dst_bit = [1 << dst for _, dst in self.edges]
         self.loop_edges = sum(
@@ -461,7 +466,7 @@ class CompiledModel:
             pass
         result = self._shrink(
             self.all_worlds, self.all_edges, del_worlds, del_edges,
-            self.all_worlds, connected, connected,
+            self.all_worlds, 1 << self.root, connected, connected,
         )
         return self._remember(key, result)
 
@@ -471,16 +476,21 @@ class CompiledModel:
         del_worlds: int,
         del_edges: int,
         connected: bool,
+        keep: int = 0,
     ) -> tuple[int, int] | None:
         """closure(del_worlds, del_edges, connected) computed from base,
         the closure of a subset of those deletions under the same
         connected (None: no closure is known, start from the whole model).
+        From a base, it returns None as soon as totality kills the root
+        or a world of keep.
 
         Closure is monotone, so the answer is the greatest valid submodel
         of base without the deletions: only the sources of newly deleted
         edges and the kept predecessors of dying worlds can lose
         totality, and with connected a world can be stranded only when a
-        removed edge that is not a self-loop had a kept target.
+        removed edge that is not a self-loop had a kept target. A None
+        under a non-empty keep may be a rejection that depends on keep,
+        so it is not cached.
         """
         if base is None:
             return self.closure(del_worlds, del_edges, connected)
@@ -501,8 +511,11 @@ class CompiledModel:
             sources |= src_bit[low.bit_length() - 1]
             new_edges ^= low
         result = self._shrink(
-            wmask, emask, new_worlds, del_edges, sources, connected, False
+            wmask, emask, new_worlds, del_edges, sources,
+            keep | 1 << self.root, connected, False,
         )
+        if result is None and keep:
+            return None
         return self._remember(key, result)
 
     def _remember(
@@ -520,21 +533,25 @@ class CompiledModel:
         dying: int,
         del_edges: int,
         recheck: int,
+        guard: int,
         connected: bool,
         reach_due: bool,
     ) -> tuple[int, int] | None:
         """The kernel: the greatest valid submodel of (wmask, emask) without
-        the worlds in dying and the edges in del_edges. Totality is checked
-        at the worlds in recheck and at the kept predecessors of every
-        death; with connected, reach runs when reach_due is set or a
-        removed non-loop edge had a kept target."""
+        the worlds in dying and the edges in del_edges, or None as soon as
+        a world in guard is deleted or dies. Totality is checked at the
+        worlds in recheck and at the kept predecessors of every death;
+        with connected, reach runs when reach_due is set or a removed
+        non-loop edge had a kept target."""
         out_mask, incident, pred_worlds = self.out_mask, self.incident, self.pred_worlds
         base_edges = emask
-        wmask &= ~dying
         emask &= ~del_edges
         # totality: a death can only take the last out-edge of one of the
         # dead world's kept predecessors, so only those are checked again
         while True:
+            if dying & guard:
+                return None
+            wmask &= ~dying
             while dying:
                 low = dying & -dying
                 w = low.bit_length() - 1
@@ -549,9 +566,6 @@ class CompiledModel:
                 recheck ^= low
             if not dying:
                 break
-            wmask &= ~dying
-        if not wmask >> self.root & 1:
-            return None
         if not connected:
             return wmask, emask
         if not reach_due:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ctlenum import enumeration, families
 from ctlenum import formula as F
@@ -30,11 +32,13 @@ from ctlenum.kripke import (
     Submodel,
     WorldElement,
     canonical_serialize,
+    compile_model,
     ground_set,
     is_valid_submodel,
 )
 from ctlenum.modelcheck import check
-from oracles import relabeled_exists_afag
+from oracles import reference_closure, relabeled_exists_afag
+from test_formula import formula_trees
 
 
 def decision_for(model, commitments):
@@ -234,6 +238,26 @@ class TestDeepFormulas:
         assert chain() != F.EX(chain())
 
 
+@st.composite
+def small_models(draw):
+    """A rooted total model on 3-5 worlds over atoms p and q with a
+    ground set of at most 14 elements, connected or not."""
+    n = draw(st.integers(3, 5))
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), min_size=n, max_size=15 - n)))
+    for a in range(n):
+        if not any(src == a for src, _ in edges):
+            edges.add((a, draw(st.integers(0, n - 1))))
+    assume(n - 1 + len(edges) <= 14)
+    labels = draw(st.lists(st.sampled_from(["", "p", "q", "pq"]), min_size=n, max_size=n))
+    names = [f"w{i}" for i in range(n)]
+    return KripkeModel.of(
+        [(names[i], list(labels[i])) for i in range(n)],
+        [(names[a], names[b]) for a, b in sorted(edges)],
+        names[0],
+    )
+
+
 def admissible_oracles(phi):
     kinds = [OracleKind.AUTO, OracleKind.EXHAUSTIVE]
     profile = F.classify_fragment(phi)
@@ -242,6 +266,117 @@ def admissible_oracles(phi):
     if profile.afag_chain and not isinstance(phi, F.Atom):
         kinds.append(OracleKind.AFAG)
     return kinds
+
+
+def decision_key(model, sub):
+    """A submodel's decision vector in the ground-set order, keep (0)
+    before delete (1): the order the engine streams solutions in."""
+    return tuple(
+        0
+        if (
+            element.id in sub.worlds
+            if isinstance(element, WorldElement)
+            else (element.source, element.target) in sub.edges
+        )
+        else 1
+        for element in ground_set(model)
+    )
+
+
+def probe_oracles(monkeypatch):
+    """Wrap every oracle: each call must come with the exact closure of
+    its deletions, holding every keep commitment. Returns the list of
+    witnesses the oracles gave, one per call."""
+    answers = []
+
+    def probe(oracle):
+        def call(ctx, keep_w, keep_e, del_w, del_e, cl):
+            want = reference_closure(ctx.compiled, del_w, del_e, ctx.connected)
+            assert cl == want
+            assert not (keep_w & ~cl[0] or keep_e & ~cl[1])
+            answers.append(oracle(ctx, keep_w, keep_e, del_w, del_e, cl))
+            return answers[-1]
+
+        return call
+
+    for kind, oracle in list(enumeration._ORACLES.items()):
+        monkeypatch.setitem(enumeration._ORACLES, kind, probe(oracle))
+    return answers
+
+
+EXTENDERS = {
+    OracleKind.AUTO: extend_exhaustive,
+    OracleKind.EXHAUSTIVE: extend_exhaustive,
+    OracleKind.MONOTONE: extend_monotone,
+    OracleKind.AFAG: extend_afag,
+}
+
+
+class TestStructuralPruning:
+    """The engine drops structurally infeasible nodes itself, folds
+    elements outside the closure and pushes no delete child that strands
+    a kept world: the stream stays every brute-force solution, in
+    decision-vector order, and no oracle sees an infeasible node."""
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_stream_is_sorted_brute_force(self, connected, monkeypatch):
+        # the closure cache may hold only complete closures: a keep
+        # rejection stored there would answer later queries with the
+        # same deletions and other keeps
+        probe_oracles(monkeypatch)
+        rng = random.Random(9091)
+        models = list(families.all_models(3, atoms=("p", "q")))[::97]
+        battery = (
+            families.formulas_by_size(("p", "q"), 30)
+            + families.afag_chain_formulas("p", 3)[:8]
+            + families.formulas_by_size(("p", "q"), 12, monotone=True)
+        )
+        for model in models:
+            size = len(ground_set(model))
+            for i, phi in enumerate(battery):
+                expected = sorted(
+                    brute_force_enumerate(model, phi, connected=connected),
+                    key=lambda sub: decision_key(model, sub),
+                )
+                lines = [canonical_serialize(sub) for sub in expected]
+                for kind in admissible_oracles(phi):
+                    got = enumerate_submodels(model, phi, oracle=kind, connected=connected)
+                    assert [canonical_serialize(sub) for sub in got] == lines, (
+                        F.render_formula(phi), kind, model
+                    )
+                if connected:
+                    assert exists_submodel(model, phi) == bool(expected)
+                if i % 4:
+                    continue
+                keys = [decision_key(model, sub) for sub in expected]
+                vector = [rng.randrange(2) for _ in range(size)]
+                for k in range(size, -1, -1):
+                    states = tuple((KEEP, DELETE)[bit] for bit in vector[:k])
+                    query = ExtensionQuery(
+                        model,
+                        phi,
+                        PartialDecision(states + (UNDECIDED,) * (size - k)),
+                        connected,
+                    )
+                    want = any(key[:k] == tuple(vector[:k]) for key in keys)
+                    for kind in admissible_oracles(phi):
+                        assert EXTENDERS[kind](query) == want, (
+                            F.render_formula(phi), kind, states, model
+                        )
+            c = compile_model(model)
+            for (del_w, del_e, linked), cl in c._closure_cache.items():
+                assert cl == reference_closure(c, del_w, del_e, linked)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_models(), formula_trees(max_leaves=5, atoms=("p", "q")))
+    def test_random_models_match_brute_force(self, model, phi):
+        for connected in (True, False):
+            expected = brute_force_enumerate(model, phi, connected=connected)
+            for kind in admissible_oracles(phi):
+                got = enumerate_submodels(model, phi, oracle=kind, connected=connected)
+                assert set(got) == expected, (F.render_formula(phi), kind, connected)
+            if connected:
+                assert exists_submodel(model, phi) == bool(expected)
 
 
 class TestExhaustiveExtension:
@@ -575,7 +710,10 @@ class TestStats:
             assert len(session.stats.delays_ns) == solutions + 1
             assert len(session.stats.oracle_calls) == solutions + 1
 
-    def test_oracle_call_bound_on_chains(self):
+    def test_oracle_call_bound_on_chains(self, monkeypatch):
+        # every chain node the oracle sees has a satisfying completion,
+        # and a gap visits at most one node per ground element plus one
+        answers = probe_oracles(monkeypatch)
         for size in range(5, 10):
             model = families.chain_models(size)
             session = enumerate_submodels(
@@ -583,8 +721,9 @@ class TestStats:
             )
             count = sum(1 for _ in session)
             assert count == 2 ** size - 1
-            bound = 2 * len(ground_set(model)) + 1
-            assert max(session.stats.oracle_calls) <= bound
+            assert answers and None not in answers
+            assert max(session.stats.oracle_calls) <= len(ground_set(model)) + 1
+            answers.clear()
 
     def test_fallback_counter(self, revisit_example):
         session = enumerate_submodels(

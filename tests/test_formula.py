@@ -91,10 +91,10 @@ class TestRender:
         assert render_formula(F.Not(F.Top())) == "!true"
 
 
-def formula_trees(max_leaves=8):
+def formula_trees(max_leaves=8, atoms=("p", "q", "x1^0", "Error", "a_b")):
     base = st.one_of(
         st.sampled_from([F.Top(), F.Bottom()]),
-        st.sampled_from(["p", "q", "x1^0", "Error", "a_b"]).map(F.Atom),
+        st.sampled_from(atoms).map(F.Atom),
     )
     unary = st.sampled_from([F.Not, F.EX, F.AX, F.EF, F.AF, F.EG, F.AG])
     binary = st.sampled_from([F.And, F.Or, F.EU, F.AU, F.ER, F.AR])

@@ -352,6 +352,37 @@ class TestClosure:
                     if cl is None:
                         break
 
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_keep_aware_shrink(self, connected):
+        # with keep, the kernel gives the reference closure, or None when
+        # the reference is None or misses a kept world; one compiled model
+        # serves every call, so a cached rejection would surface when the
+        # same deletions come again without keep
+        rng = random.Random(7219)
+        for model in _cascading_models(rng):
+            c = compile_model(model)
+            c._closure_cache.clear()
+            for _ in range(60):
+                del_worlds, del_edges = _random_deletions(rng, c)
+                want = reference_closure(c, del_worlds, del_edges, connected)
+                keep = sum(
+                    1 << w for w in c.ground_worlds
+                    if not del_worlds >> w & 1 and rng.random() < 0.3
+                )
+                part_worlds = del_worlds & rng.getrandbits(c.n)
+                part_edges = del_edges & rng.getrandbits(c.m)
+                base = c.closure(part_worlds, part_edges, connected)
+                if base is None:
+                    assert want is None
+                    continue
+                got = c.shrink(base, del_worlds, del_edges, connected, keep)
+                if got is None:
+                    assert want is None or keep & ~want[0]
+                    again = c.shrink(base, del_worlds, del_edges, connected)
+                    assert again == want, (model, del_worlds, del_edges, keep)
+                else:
+                    assert got == want, (model, del_worlds, del_edges, keep)
+
 
 def _cascading_models(rng):
     """Models whose deaths cascade over several hops: a chain, larger
