@@ -27,6 +27,7 @@ from .errors import (
     InvalidModelError,
     ModelFormatError,
     NotAFAGChain,
+    NotNNF,
     OracleFragmentMismatch,
 )
 from .kripke import canonical_serialize, load_model, require_valid, save_model
@@ -47,6 +48,18 @@ def _read_formula(args: argparse.Namespace) -> F.Formula:
         with open(args.formula_file, encoding="utf-8") as fh:
             text = fh.read()
     return F.parse_formula(text)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, not {text!r}"
+        )
+    return value
 
 
 def _read_model(args: argparse.Namespace):
@@ -120,7 +133,11 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             print("reduce sat-ag needs --formula or --formula-file", file=sys.stderr)
             return 2
         phi = _read_formula(args)
-        instance = REDUCTIONS["sat-ag"](phi, encoding=args.encoding)
+        try:
+            instance = REDUCTIONS["sat-ag"](phi, encoding=args.encoding)
+        except ValueError as exc:  # a formula without variables
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         if args.digraph is None:
             print(f"reduce {args.kind} needs --digraph", file=sys.stderr)
@@ -167,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "exhaustive", "monotone", "afag", "brute"],
         default="auto",
     )
-    p_enum.add_argument("--limit", type=int)
+    p_enum.add_argument("--limit", type=_positive_int)
     p_enum.add_argument("--stats", action="store_true")
     p_enum.add_argument("--include-disconnected", action="store_true")
     p_enum.add_argument("--out", help="write the stream to a file")
@@ -210,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FormulaSyntaxError, ModelFormatError, InvalidModelError) as exc:
+    except (FormulaSyntaxError, ModelFormatError, InvalidModelError, NotNNF) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleFragmentMismatch as exc:

@@ -1,12 +1,15 @@
 """Duplicate-free enumeration of satisfying submodels.
 
-The engine runs a depth-first binary partition over the ground-set order
-(keep branch before delete branch), pruning every node whose extension
-query the active oracle rejects, and emits at full assignments only. Full
-assignments are in bijection with candidate submodels, so the output
+One search walk serves the engine and every decision procedure: a
+depth-first binary partition over the ground-set order (keep branch
+before delete branch) that asks a node test at each node it must
+decide. The test answers a witness (a satisfying completion), explore
+(the node's closure fails the formula but a completion may not; search
+the children) or nothing (prune). The engine emits at full assignments
+only, which are in bijection with candidate submodels, so the output
 stream is duplicate-free by construction.
 
-Structure is pruned before any oracle is asked. Each node's closure is
+Structure is pruned before any test is asked. Each node's closure is
 shrunk from the one it carries with its keep commitments at hand, and a
 node whose closure loses the root or a keep is dropped; the branch step
 folds undecided elements outside the closure into the deletions and
@@ -14,13 +17,12 @@ pushes no delete child that would strand a world that must stay. Each
 prune tests a necessary condition of validity, so the stream is the same
 as without them.
 
-Three extension oracles are provided: an exhaustive completion search
-(correct for full CTL, worst-case exponential), a polynomial one for
-negation-free existential formulas, which is that search's first step,
-and a polynomial one for AF/AG chains with a documented exhaustive
-fallback for keep-committed queries on AF-containing forms. The engine
-and the completion search are explicit-stack loops, so neither recurses
-once per ground-set position.
+Three node tests back the oracles: the closure test, exhaustive for full
+CTL (worst-case exponential) and polynomial on negation-free existential
+formulas, where it never explores; and a polynomial one for AF/AG chains
+that hands keep-committed queries on AF-containing forms to the closure
+test, a counted fallback. The walk is one explicit-stack loop, so it
+never recurses once per ground-set position.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import formula as F
@@ -69,9 +72,9 @@ class ExtensionQuery:
 
 @dataclass
 class EnumerationStats:
-    """Per-gap delays and oracle-call counts; one extra bucket covers the
-    precomputation before the first solution and the postcomputation after
-    the last."""
+    """Per-gap delays and search-node counts (oracle_calls); one extra
+    bucket covers the precomputation before the first solution and the
+    postcomputation after the last."""
 
     solutions: int = 0
     delays_ns: list[int] = field(default_factory=list)
@@ -89,8 +92,8 @@ class EnumerationStats:
     def record(
         self, solutions: Iterable[_T], take_calls: Callable[[], int]
     ) -> Iterator[_T]:
-        """Yield the solutions, recording each gap's delay and the oracle
-        calls take_calls reports for it; the consumer's time between two
+        """Yield the solutions, recording each gap's delay and the search
+        nodes take_calls reports for it; the consumer's time between two
         solutions counts for neither gap. The last bucket is recorded
         when iteration ends."""
         last = time.perf_counter_ns()
@@ -123,11 +126,19 @@ class Lasso:
         return Submodel(frozenset(worlds), frozenset(edges))
 
 
-# --- internal oracle context -------------------------------------------------
+# --- internal search context -------------------------------------------------
+
+
+_Masks = tuple[int, int]
+
+# a node test's answer when the node's closure fails phi but some
+# completion may still satisfy it: search the node's children
+_EXPLORE = object()
 
 
 class _Context:
-    """Per-run search state: compiled model, formula, fragment, caches."""
+    """Per-run search state: compiled model, fragment, formula programs,
+    the verdict cache and the search-node counter."""
 
     def __init__(
         self,
@@ -137,8 +148,6 @@ class _Context:
         delete_first: bool = False,
     ):
         self.compiled = compile_model(model)
-        self.model = model
-        self.formula = phi
         self.connected = connected
         self.delete_first = delete_first
         self.profile = F.classify_fragment(phi)
@@ -146,15 +155,15 @@ class _Context:
         if self.profile.afag_chain and not isinstance(phi, F.Atom):
             self.trimmed = F.afag_trim(phi)
         self.fallback_queries = 0
-        self.weakened = F.existential_weakening(phi)
-        self._program = compile_formula(phi)
-        self._weak_program = (
-            None
-            if self.weakened is None or self.weakened is phi
-            else compile_formula(self.weakened)
-        )
-        self._sat_cache: dict[tuple[int, int], bool] = {}
-        self._weak_cache: dict[tuple[int, int], bool] = {}
+        self.nodes = 0
+        self.program = compile_formula(phi)
+        # None: phi has no existential weakening, so nothing prunes a
+        # closure that fails phi; phi's own program: phi is its weakening
+        self.weak_program: FormulaProgram | None = None
+        weakened = F.existential_weakening(phi)
+        if weakened is not None:
+            self.weak_program = self.program if weakened is phi else compile_formula(weakened)
+        self.verdicts: dict[_Masks, object] = {}
         c = self.compiled
         self.positions: list[tuple[int, int]] = [
             (1 << w, 0) for w in c.ground_worlds
@@ -170,42 +179,11 @@ class _Context:
             for s, t in c.edges
         ]
 
-    def satisfies(self, wmask: int, emask: int) -> bool:
-        return self._holds(self._sat_cache, self._program, wmask, emask)
 
-    def may_extend(self, wmask: int, emask: int) -> bool:
-        """Can some submodel of a structure that fails phi satisfy phi?
-        False when the structure fails phi's existential weakening."""
-        if self.weakened is None:
-            return True
-        if self.weakened is self.formula:
-            return False
-        return self._holds(self._weak_cache, self._weak_program, wmask, emask)
-
-    def _holds(
-        self,
-        cache: dict[tuple[int, int], bool],
-        program: FormulaProgram,
-        wmask: int,
-        emask: int,
-    ) -> bool:
-        key = (wmask, emask)
-        cached = cache.get(key)
-        if cached is None:
-            masks = label_masks(self.compiled, wmask, emask, program)
-            cached = bool(masks[-1] >> self.compiled.root & 1)
-            if len(cache) > 1 << 18:
-                cache.clear()
-            cache[key] = cached
-        return cached
-
-
-_Masks = tuple[int, int]
-
-# (ctx, keep_w, keep_e, del_w, del_e, cl) -> witness: cl is the closure of
-# the query's deletions and holds every keep commitment; the witness is a
-# satisfying completion or None
-_MaskOracle = Callable[["_Context", int, int, int, int, _Masks], _Masks | None]
+# (ctx, keep_w, keep_e, del_w, del_e, cl) -> witness, _EXPLORE or None:
+# cl is the closure of the node's deletions and holds every keep
+# commitment; a witness is a satisfying completion, None prunes the node
+_NodeTest = Callable[["_Context", int, int, int, int, _Masks], object]
 
 
 def _node_closure(
@@ -224,7 +202,7 @@ def _branch(
     ctx: _Context, pos: int, keep_w: int, keep_e: int, del_w: int, del_e: int,
     cl: _Masks,
 ) -> tuple[int, int, int, int, int, bool]:
-    """The branch step of the engine and of the completion search.
+    """The branch step of the walk.
 
     Scans from position pos; cl holds every completion of the node.
     Undecided elements outside cl are folded into the deletions: keeping
@@ -261,61 +239,106 @@ def _branch(
     return pos, del_w, del_e, wbit, ebit, True
 
 
-def _search_completion(
-    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int, cl: _Masks
-) -> _Masks | None:
-    """The exhaustive oracle: the first satisfying completion in
-    keep-before-delete order, or None.
+def _walk(
+    ctx: _Context, test: _NodeTest, keep_w: int, keep_e: int, del_w: int, del_e: int,
+    first: bool = False,
+) -> Iterator[_Masks]:
+    """The one search, depth-first below the node (keep_w, keep_e,
+    del_w, del_e), keep child first unless ctx.delete_first.
 
-    Each frame carries a closure and whether it is the frame's own,
-    already checked. A keep child inherits its parent's, which a keep
-    commitment leaves unchanged, and so do the deletions _branch folds.
-    A delete child shrinks the closure it carries and is dropped when
-    that loses a keep commitment; _branch pushes none that surely would.
-    The root frame's closure is the query's, and it and each delete
-    child check theirs. The maximal surviving submodel is itself a
-    reachable completion, so satisfaction there accepts at once. Every
-    completion is a submodel of it, so a failed existential weakening
-    there prunes the branch; on the monotone fragment the weakening is
-    phi itself, so the search stops at the first closure.
+    A frame carries the closure of its nearest tested ancestor and
+    whether that test answered _EXPLORE. A node is not tested when the
+    last witness completes it or when it is the keep child of a node
+    that explores (same closure, same answer); any other node shrinks
+    its closure, is dropped when that loses the root or a keep, and is
+    tested. Yields every full assignment not reached under _EXPLORE, or
+    with first only the first witness. ctx.nodes counts popped frames.
     """
     total = len(ctx.positions)
-    stack: list[tuple[int, int, int, int, int, _Masks, bool]] = [
-        (0, keep_w, keep_e, del_w, del_e, cl, False)
+    all_worlds, all_edges = ctx.compiled.all_worlds, ctx.compiled.all_edges
+    delete_first = ctx.delete_first
+    witness: _Masks | None = None
+    stack: list[tuple[int, int, int, int, int, _Masks | None, bool]] = [
+        (0, keep_w, keep_e, del_w, del_e, None, False)
     ]
     while stack:
-        pos, keep_w, keep_e, del_w, del_e, cl, checked = stack.pop()
-        if not checked:
-            if pos:  # a delete child: shrink the parent's closure
-                cl = _node_closure(ctx, cl, keep_w, keep_e, del_w, del_e)
-                if cl is None:
-                    continue
-            if ctx.satisfies(*cl):
-                return cl
-            if not ctx.may_extend(*cl):
+        pos, keep_w, keep_e, del_w, del_e, cl, explore = stack.pop()
+        ctx.nodes += 1
+        if not explore and (
+            witness is None
+            or keep_w & ~witness[0]
+            or keep_e & ~witness[1]
+            or del_w & witness[0]
+            or del_e & witness[1]
+        ):
+            cl = _node_closure(ctx, cl, keep_w, keep_e, del_w, del_e)
+            if cl is None:
                 continue
+            found = test(ctx, keep_w, keep_e, del_w, del_e, cl)
+            if found is None:
+                continue
+            if found is _EXPLORE:
+                explore = True
+            elif first:
+                yield found
+                return
+            else:
+                witness = found
         pos, del_w, del_e, wbit, ebit, deletable = _branch(
             ctx, pos, keep_w, keep_e, del_w, del_e, cl
         )
         if pos == total:
-            # full assignment: the kept candidate is valid only if it
-            # equals the closure, whose satisfaction was already refuted
+            # under _EXPLORE the kept candidate is valid only if it
+            # equals the closure, whose satisfaction was refuted
+            if not explore:
+                yield all_worlds & ~del_w, all_edges & ~del_e
             continue
-        keep = (pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl, True)
+        keep = (pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl, explore)
         if not deletable:
             stack.append(keep)
             continue
         delete = (pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl, False)
-        if ctx.delete_first:
+        if delete_first:
             stack += (keep, delete)
         else:
             stack += (delete, keep)
-    return None
+
+
+def _closure_test(
+    ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int, cl: _Masks
+) -> object:
+    """The exhaustive and monotone node test, cached per closure.
+
+    The closure is itself a reachable completion, so satisfaction there
+    makes it the witness. Every completion is a submodel of it, so a
+    failed existential weakening there prunes the node; otherwise the
+    answer is _EXPLORE. On the monotone fragment the weakening is phi
+    itself, so the test never explores.
+    """
+    verdicts = ctx.verdicts
+    try:
+        return verdicts[cl]
+    except KeyError:
+        pass
+    c = ctx.compiled
+    weak = ctx.weak_program
+    if label_masks(c, *cl, ctx.program)[-1] >> c.root & 1:
+        verdict: object = cl
+    elif weak is None or (
+        weak is not ctx.program and label_masks(c, *cl, weak)[-1] >> c.root & 1
+    ):
+        verdict = _EXPLORE
+    else:
+        verdict = None
+    if len(verdicts) > 1 << 18:
+        verdicts.clear()
+    verdicts[cl] = verdict
+    return verdict
 
 
 def _oracle_afag(
     ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int, cl: _Masks
-) -> _Masks | None:
+) -> object:
     c = ctx.compiled
     form = ctx.trimmed
     if not (keep_w | keep_e):
@@ -337,12 +360,12 @@ def _oracle_afag(
             ctx, cl, keep_w, keep_e, del_w | (c.all_worlds & ~labeled), del_e
         )
     ctx.fallback_queries += 1
-    return _search_completion(ctx, keep_w, keep_e, del_w, del_e, cl)
+    return _closure_test(ctx, keep_w, keep_e, del_w, del_e, cl)
 
 
-_ORACLES: dict[OracleKind, _MaskOracle] = {
-    OracleKind.EXHAUSTIVE: _search_completion,
-    OracleKind.MONOTONE: _search_completion,
+_ORACLES: dict[OracleKind, _NodeTest] = {
+    OracleKind.EXHAUSTIVE: _closure_test,
+    OracleKind.MONOTONE: _closure_test,
     OracleKind.AFAG: _oracle_afag,
 }
 
@@ -390,10 +413,9 @@ class EnumerationSession:
             raise ValueError("limit must be at least 1")
         self._ctx = _Context(model, phi, connected)
         self.oracle_kind = resolve_oracle(oracle, self._ctx)
-        self._oracle = _ORACLES[self.oracle_kind]
+        self._test = _ORACLES[self.oracle_kind]
         self._limit = limit
         self.stats = EnumerationStats()
-        self._calls_in_gap = 0
         self._finished = False
 
     def __iter__(self) -> Iterator[Submodel]:
@@ -403,62 +425,19 @@ class EnumerationSession:
         return self._iterate()
 
     def _iterate(self) -> Iterator[Submodel]:
-        solutions = self.stats.record(self._solutions(), self._take_calls)
+        ctx = self._ctx
+        walk = islice(_walk(ctx, self._test, 0, 0, 0, 0), self._limit)
+        solutions = self.stats.record(walk, self._take_nodes)
         try:
             for sol_w, sol_e in solutions:
-                yield self._ctx.compiled.submodel(sol_w, sol_e)
+                yield ctx.compiled.submodel(sol_w, sol_e)
         finally:
             solutions.close()
-            self.stats.fallback_queries = self._ctx.fallback_queries
+            self.stats.fallback_queries = ctx.fallback_queries
 
-    def _take_calls(self) -> int:
-        calls, self._calls_in_gap = self._calls_in_gap, 0
-        return calls
-
-    def _solutions(self) -> Iterator[tuple[int, int]]:
-        """Depth-first over the ground-set order, a node's keep child
-        popped before its delete child. A node that the last witness
-        completes costs nothing. Any other node shrinks the closure it
-        carries, that of its nearest checked ancestor, to its own, and
-        is dropped without an oracle call when that loses the root or a
-        keep commitment; the oracle sees only nodes whose closure holds
-        every keep."""
-        ctx = self._ctx
-        oracle = self._oracle
-        total = len(ctx.positions)
-        all_worlds, all_edges = ctx.compiled.all_worlds, ctx.compiled.all_edges
-        witness: _Masks | None = None
-        stack: list[tuple[int, int, int, int, int, _Masks | None]] = [
-            (0, 0, 0, 0, 0, None)
-        ]
-        while stack:
-            pos, keep_w, keep_e, del_w, del_e, cl = stack.pop()
-            self._calls_in_gap += 1
-            if (
-                witness is None
-                or keep_w & ~witness[0]
-                or keep_e & ~witness[1]
-                or del_w & witness[0]
-                or del_e & witness[1]
-            ):
-                cl = _node_closure(ctx, cl, keep_w, keep_e, del_w, del_e)
-                if cl is None:
-                    continue
-                found = oracle(ctx, keep_w, keep_e, del_w, del_e, cl)
-                if found is None:
-                    continue
-                witness = found
-            pos, del_w, del_e, wbit, ebit, deletable = _branch(
-                ctx, pos, keep_w, keep_e, del_w, del_e, cl
-            )
-            if pos == total:
-                yield all_worlds & ~del_w, all_edges & ~del_e
-                if self.stats.solutions == self._limit:
-                    return
-                continue
-            if deletable:
-                stack.append((pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl))
-            stack.append((pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl))
+    def _take_nodes(self) -> int:
+        nodes, self._ctx.nodes = self._ctx.nodes, 0
+        return nodes
 
 
 def enumerate_submodels(
@@ -475,7 +454,15 @@ def enumerate_submodels(
 # --- decision problems -----------------------------------------------------------
 
 
-def _query_masks(query: ExtensionQuery) -> tuple[_Context, int, int, int, int]:
+def _decide(
+    ctx: _Context, kind: OracleKind, keep_w: int, keep_e: int, del_w: int, del_e: int
+) -> bool:
+    test = _ORACLES[resolve_oracle(kind, ctx)]
+    walk = _walk(ctx, test, keep_w, keep_e, del_w, del_e, first=True)
+    return next(walk, None) is not None
+
+
+def _extend(kind: OracleKind, query: ExtensionQuery) -> bool:
     require_valid(query.model)
     ctx = _Context(query.model, query.formula, query.connected)
     if len(query.decision.states) != len(ctx.positions):
@@ -488,20 +475,7 @@ def _query_masks(query: ExtensionQuery) -> tuple[_Context, int, int, int, int]:
         elif state == DELETE:
             del_w |= wbit
             del_e |= ebit
-    return ctx, keep_w, keep_e, del_w, del_e
-
-
-def _decide(
-    ctx: _Context, kind: OracleKind, keep_w: int, keep_e: int, del_w: int, del_e: int
-) -> bool:
-    oracle = _ORACLES[resolve_oracle(kind, ctx)]
-    cl = _node_closure(ctx, None, keep_w, keep_e, del_w, del_e)
-    return cl is not None and oracle(ctx, keep_w, keep_e, del_w, del_e, cl) is not None
-
-
-def _extend(kind: OracleKind, query: ExtensionQuery) -> bool:
-    ctx, *masks = _query_masks(query)
-    return _decide(ctx, kind, *masks)
+    return _decide(ctx, kind, keep_w, keep_e, del_w, del_e)
 
 
 def extend_exhaustive(query: ExtensionQuery) -> bool:
@@ -512,7 +486,7 @@ def extend_exhaustive(query: ExtensionQuery) -> bool:
 def extend_monotone(query: ExtensionQuery) -> bool:
     """Polynomial extension decision for the negation-free existential
     fragment: satisfaction of the maximal surviving submodel decides, so
-    the completion search stops at its first closure."""
+    the search stops at its first closure."""
     return _extend(OracleKind.MONOTONE, query)
 
 
@@ -542,7 +516,7 @@ def brute_force_enumerate(
     c = compile_model(model)
     if c.ground_size > cap:
         raise CapExceeded(f"ground set of {c.ground_size} exceeds cap {cap}")
-    ctx = _Context(model, phi, connected)
+    program = compile_formula(phi)
     rootbit = 1 << c.root
     nonroot = [1 << w for w in c.ground_worlds]
     solutions = set()
@@ -557,7 +531,10 @@ def brute_force_enumerate(
                 allowed |= 1 << e
         emask = allowed
         while True:
-            if c.valid(wmask, emask, connected) and ctx.satisfies(wmask, emask):
+            if (
+                c.valid(wmask, emask, connected)
+                and label_masks(c, wmask, emask, program)[-1] >> c.root & 1
+            ):
                 solutions.add(c.submodel(wmask, emask))
             if emask == 0:
                 break

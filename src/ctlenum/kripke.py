@@ -689,7 +689,11 @@ def model_from_dict(data: object) -> KripkeModel:
             raise ModelFormatError(f"bad world entry: {entry!r}")
         wid = entry["id"]
         labels = entry.get("labels", [])
-        if not isinstance(wid, str) or not isinstance(labels, list):
+        if (
+            not isinstance(wid, str)
+            or not isinstance(labels, list)
+            or not all(isinstance(label, str) for label in labels)
+        ):
             raise ModelFormatError(f"bad world entry: {entry!r}")
         if wid in seen:
             raise ModelFormatError(f"duplicate world id {wid!r}")

@@ -38,7 +38,7 @@ def is_nnf_propositional(phi: F.Formula) -> bool:
 
 def require_nnf(phi: F.Formula) -> None:
     if not is_nnf_propositional(phi):
-        raise NotNNF(F.render_formula(phi))
+        raise NotNNF(f"not a propositional formula in NNF: {F.render_formula(phi)}")
 
 
 def prop_variables(phi: F.Formula) -> list[str]:

@@ -1,10 +1,10 @@
 """The benchmark's traced rounds still find the hooks they wrap.
 
 perfbench/tracing.py patches ctlenum entry points by name (among them
-CompiledModel.closure and CompiledModel.reach, and on the enum workloads'
-output path CompiledModel.submodel and canonical_serialize); a renamed or
-bypassed hook shows up here as a crashed round or a layer that counts
-nothing.
+CompiledModel.closure, CompiledModel.reach and enumeration.label_masks,
+and on the enum workloads' output path CompiledModel.submodel and
+canonical_serialize); a renamed or bypassed hook shows up here as a
+crashed round or a layer that counts nothing.
 """
 
 import json
@@ -39,7 +39,8 @@ def test_traced_round(workload, tmp_path):
     assert result["traced"]
     assert result["attempted"] > 0
     assert result["failed"] == 0
-    assert result["layers"]["kripke.reach.calls"] > 0
+    for layer in ("kripke.reach", "kripke.closure", "modelcheck.label"):
+        assert result["layers"][f"{layer}.calls"] > 0, layer
     if workload.startswith("enum-"):
         # the output path: building each solution and writing its line
         assert result["layers"]["kripke.submodel.ms"] > 0

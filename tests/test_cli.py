@@ -94,6 +94,19 @@ class TestCheck:
         code, _, _ = run_cli("check", "--model", str(path), "--formula", "true")
         assert code == 2
 
+    @pytest.mark.parametrize("label", [["x"], 3])
+    def test_non_string_label(self, tmp_path, label):
+        path = tmp_path / "labels.json"
+        path.write_text(
+            json.dumps(
+                {"worlds": [{"id": "r", "labels": [label]}], "edges": [["r", "r"]], "root": "r"}
+            )
+        )
+        for command in ("check", "exists", "enumerate"):
+            code, out, err = run_cli(command, "--model", str(path), "--formula", "true")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: bad world entry")
+
     def test_formula_file(self, two_world_path, tmp_path):
         formula_path = tmp_path / "phi.txt"
         formula_path.write_text("true\n")
@@ -146,6 +159,21 @@ class TestEnumerate:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("oracle", ["auto", "brute"])
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_rejected(self, tmp_path, oracle, limit):
+        path = tmp_path / "chain3.json"
+        save_model(families.chain_models(3), str(path))
+        code, out, err = run_cli(
+            "enumerate", "--model", str(path), "--formula", "EF p",
+            "--oracle", oracle, "--limit", limit,
+        )
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"ctlenum enumerate: error: argument --limit: must be an integer "
+            f"of at least 1, not '{limit}'"
+        ]
 
     def test_oracle_mismatch_exit_code(self, two_world_path):
         code, _, _ = run_cli(
@@ -387,6 +415,20 @@ class TestReduce:
             "reduce", "hampath-af", "--digraph", str(digraph_path), "--out", str(tmp_path)
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            ("AG p", "error: not a propositional formula in NNF: AG p\n"),
+            ("!(x1 | x2)", "error: not a propositional formula in NNF: !(x1 | x2)\n"),
+            ("true", "error: at least one variable is required\n"),
+        ],
+    )
+    def test_sat_ag_bad_formula(self, tmp_path, formula, message):
+        out_dir = tmp_path / "bad"
+        code, out, err = run_cli("reduce", "sat-ag", "--formula", formula, "--out", str(out_dir))
+        assert (code, out, err) == (2, "", message)
+        assert not out_dir.exists()
 
     def test_missing_input(self, tmp_path):
         code, _, err = run_cli("reduce", "hampath-af", "--out", str(tmp_path))

@@ -659,10 +659,12 @@ class TestLassoWitness:
 
 
 class TestLabelingEntryPoint:
-    def test_engine_labels_through_module_attribute(self, monkeypatch):
-        # per-layer tracing wraps enumeration.label_masks and keys each
-        # call on all four arguments; every labeling builds successor
-        # masks once, so equal counts mean no labeling bypassed the name
+    # per-layer tracing wraps enumeration.label_masks and keys each call
+    # on all four arguments; every labeling builds successor masks once,
+    # so equal counts mean no labeling bypassed the name
+
+    @staticmethod
+    def count_labelings(monkeypatch):
         labelings, successor_calls = [], []
         label_masks = enumeration.label_masks
         successor_masks = CompiledModel.successor_masks
@@ -677,6 +679,10 @@ class TestLabelingEntryPoint:
 
         monkeypatch.setattr(enumeration, "label_masks", counted_label)
         monkeypatch.setattr(CompiledModel, "successor_masks", counted_successors)
+        return labelings, successor_calls
+
+    def test_engine_labels_through_module_attribute(self, monkeypatch):
+        labelings, successor_calls = self.count_labelings(monkeypatch)
         model = families.random_model(random.Random(3), 4, atoms=("p", "q"))
         phi = parse_formula("AG (p -> AF q)")
         session = enumerate_submodels(model, phi, oracle=OracleKind.EXHAUSTIVE)
@@ -688,6 +694,53 @@ class TestLabelingEntryPoint:
             phi,
             F.existential_weakening(phi),
         }
+
+    @pytest.mark.parametrize("decide", [brute_force_enumerate, exists_submodel])
+    def test_reference_and_decision_label_through_module_attribute(
+        self, monkeypatch, decide
+    ):
+        labelings, successor_calls = self.count_labelings(monkeypatch)
+        model = families.random_model(random.Random(3), 4, atoms=("p", "q"))
+        phi = parse_formula("AG (p -> AF q)")
+        assert decide(model, phi)
+        assert labelings and len(labelings) == len(successor_calls)
+        assert len(set(labelings)) == len(labelings)
+
+
+class TestOneWalk:
+    def test_no_node_is_closed_twice(self, monkeypatch):
+        # one walk per session: a node whose subtree was searched, as a
+        # completion search nested in the engine once did, is never
+        # searched again
+        keys = []
+        node_closure = enumeration._node_closure
+
+        def counted(ctx, base, keep_w, keep_e, del_w, del_e):
+            keys.append((keep_w, keep_e, del_w, del_e))
+            return node_closure(ctx, base, keep_w, keep_e, del_w, del_e)
+
+        monkeypatch.setattr(enumeration, "_node_closure", counted)
+        texts = (
+            "AG (p -> AF q)", "A[p U q]", "!E[p U !q]", "AF AG q", "EG (p -> AX q)", "AF q",
+        )
+        kinds = (OracleKind.EXHAUSTIVE, OracleKind.AUTO, OracleKind.AFAG)
+        closed = 0
+        for seed in range(6):
+            model = families.random_model(random.Random(seed), 5, atoms=("p", "q"))
+            for text in texts:
+                phi = parse_formula(text)
+                runs = [
+                    lambda kind=kind: list(enumerate_submodels(model, phi, oracle=kind))
+                    for kind in kinds
+                    if kind in admissible_oracles(phi)
+                ]
+                runs.append(lambda: exists_submodel(model, phi))
+                for run in runs:
+                    keys.clear()
+                    run()
+                    assert len(set(keys)) == len(keys), (text, seed)
+                    closed += len(keys)
+        assert closed > 1000
 
 
 class TestStats:

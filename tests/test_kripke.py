@@ -525,6 +525,14 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError):
             parse_model(text)
 
+    @pytest.mark.parametrize("label", [["x"], 3, None])
+    def test_non_string_label_rejected(self, label):
+        text = json.dumps(
+            {"worlds": [{"id": "a", "labels": [label]}], "edges": [["a", "a"]], "root": "a"}
+        )
+        with pytest.raises(ModelFormatError):
+            parse_model(text)
+
     def test_malformed_json(self):
         with pytest.raises(ModelFormatError):
             parse_model("{nope")
