@@ -130,7 +130,10 @@ def cmd_trim(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     if args.kind == "sat-ag":
         if args.formula is None and args.formula_file is None:
-            print("reduce sat-ag needs --formula or --formula-file", file=sys.stderr)
+            print(
+                "error: reduce sat-ag needs --formula or --formula-file",
+                file=sys.stderr,
+            )
             return 2
         phi = _read_formula(args)
         try:
@@ -140,7 +143,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             return 2
     else:
         if args.digraph is None:
-            print(f"reduce {args.kind} needs --digraph", file=sys.stderr)
+            print(f"error: reduce {args.kind} needs --digraph", file=sys.stderr)
             return 2
         digraph = load_digraph(args.digraph)
         instance = REDUCTIONS[args.kind](digraph)

@@ -137,8 +137,8 @@ _EXPLORE = object()
 
 
 class _Context:
-    """Per-run search state: compiled model, fragment, formula programs,
-    the verdict cache and the search-node counter."""
+    """Per-run search state: compiled model, fragment, formula programs
+    and the search-node counter."""
 
     def __init__(
         self,
@@ -163,7 +163,6 @@ class _Context:
         weakened = F.existential_weakening(phi)
         if weakened is not None:
             self.weak_program = self.program if weakened is phi else compile_formula(weakened)
-        self.verdicts: dict[_Masks, object] = {}
         c = self.compiled
         self.positions: list[tuple[int, int]] = [
             (1 << w, 0) for w in c.ground_worlds
@@ -307,7 +306,7 @@ def _walk(
 def _closure_test(
     ctx: _Context, keep_w: int, keep_e: int, del_w: int, del_e: int, cl: _Masks
 ) -> object:
-    """The exhaustive and monotone node test, cached per closure.
+    """The exhaustive and monotone node test on the node's closure.
 
     The closure is itself a reachable completion, so satisfaction there
     makes it the witness. Every completion is a submodel of it, so a
@@ -315,25 +314,15 @@ def _closure_test(
     answer is _EXPLORE. On the monotone fragment the weakening is phi
     itself, so the test never explores.
     """
-    verdicts = ctx.verdicts
-    try:
-        return verdicts[cl]
-    except KeyError:
-        pass
     c = ctx.compiled
     weak = ctx.weak_program
     if label_masks(c, *cl, ctx.program)[-1] >> c.root & 1:
-        verdict: object = cl
-    elif weak is None or (
+        return cl
+    if weak is None or (
         weak is not ctx.program and label_masks(c, *cl, weak)[-1] >> c.root & 1
     ):
-        verdict = _EXPLORE
-    else:
-        verdict = None
-    if len(verdicts) > 1 << 18:
-        verdicts.clear()
-    verdicts[cl] = verdict
-    return verdict
+        return _EXPLORE
+    return None
 
 
 def _oracle_afag(

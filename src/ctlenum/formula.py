@@ -217,10 +217,6 @@ def subformulas(phi: Formula) -> Iterator[Formula]:
         stack.extend((child, False) for child in reversed(_children(node)))
 
 
-def atom_names(phi: Formula) -> set[str]:
-    return {f.name for f in subformulas(phi) if isinstance(f, Atom)}
-
-
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

@@ -209,10 +209,6 @@ def restrict(model: KripkeModel, sub: Submodel) -> KripkeModel:
     )
 
 
-def full_submodel(model: KripkeModel) -> Submodel:
-    return Submodel(frozenset(w.id for w in model.worlds), frozenset(model.edges))
-
-
 def reachable_set(
     model: KripkeModel, start: str, sub: Submodel | None = None
 ) -> set[str]:
@@ -302,7 +298,6 @@ class CompiledModel:
         "label_worlds",
         "ground_worlds",
         "ground_size",
-        "_closure_cache",
         "_line_tables",
     )
 
@@ -344,7 +339,6 @@ class CompiledModel:
                 self.label_worlds[label] = self.label_worlds.get(label, 0) | 1 << i
         self.ground_worlds = [i for i in range(self.n) if i != self.root]
         self.ground_size = len(self.ground_worlds) + self.m
-        self._closure_cache: dict[tuple[int, int, bool], tuple[int, int] | None] = {}
         self._line_tables: tuple[_CanonicalOrder, _CanonicalOrder] | None = None
 
     def submodel(self, wmask: int, emask: int) -> Submodel:
@@ -459,16 +453,10 @@ class CompiledModel:
         """Masks of the maximal valid submodel avoiding the deletions, or
         None when the root dies: the kernel applied to the whole model,
         with every world checked once."""
-        key = (del_worlds, del_edges, connected)
-        try:
-            return self._closure_cache[key]
-        except KeyError:
-            pass
-        result = self._shrink(
+        return self._shrink(
             self.all_worlds, self.all_edges, del_worlds, del_edges,
             self.all_worlds, 1 << self.root, connected, connected,
         )
-        return self._remember(key, result)
 
     def shrink(
         self,
@@ -488,9 +476,7 @@ class CompiledModel:
         of base without the deletions: only the sources of newly deleted
         edges and the kept predecessors of dying worlds can lose
         totality, and with connected a world can be stranded only when a
-        removed edge that is not a self-loop had a kept target. A None
-        under a non-empty keep may be a rejection that depends on keep,
-        so it is not cached.
+        removed edge that is not a self-loop had a kept target.
         """
         if base is None:
             return self.closure(del_worlds, del_edges, connected)
@@ -499,32 +485,16 @@ class CompiledModel:
         new_edges = del_edges & emask
         if not (new_worlds or new_edges):
             return base
-        key = (del_worlds, del_edges, connected)
-        try:
-            return self._closure_cache[key]
-        except KeyError:
-            pass
         src_bit = self.src_bit
         sources = 0
         while new_edges:
             low = new_edges & -new_edges
             sources |= src_bit[low.bit_length() - 1]
             new_edges ^= low
-        result = self._shrink(
+        return self._shrink(
             wmask, emask, new_worlds, del_edges, sources,
             keep | 1 << self.root, connected, False,
         )
-        if result is None and keep:
-            return None
-        return self._remember(key, result)
-
-    def _remember(
-        self, key: tuple[int, int, bool], result: tuple[int, int] | None
-    ) -> tuple[int, int] | None:
-        if len(self._closure_cache) > 1 << 19:
-            self._closure_cache.clear()
-        self._closure_cache[key] = result
-        return result
 
     def _shrink(
         self,

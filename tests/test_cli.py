@@ -431,9 +431,11 @@ class TestReduce:
         assert not out_dir.exists()
 
     def test_missing_input(self, tmp_path):
-        code, _, err = run_cli("reduce", "hampath-af", "--out", str(tmp_path))
-        assert code == 2
-        assert "digraph" in err
+        for kind, needed in (("hampath-af", "--digraph"), ("sat-ag", "--formula")):
+            code, _, err = run_cli("reduce", kind, "--out", str(tmp_path))
+            assert code == 2
+            assert err.startswith("error: ")
+            assert needed in err
 
 
 class TestMainEntry:

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -283,6 +285,27 @@ def decision_key(model, sub):
     )
 
 
+def record_closures(monkeypatch):
+    """Wrap CompiledModel.closure and .shrink: every closure computed is
+    recorded as (compiled model, deletions, connected, keep, result)."""
+    computed = set()
+    closure, shrink = CompiledModel.closure, CompiledModel.shrink
+
+    def recorded_closure(self, del_worlds, del_edges, connected):
+        result = closure(self, del_worlds, del_edges, connected)
+        computed.add((self, del_worlds, del_edges, connected, 0, result))
+        return result
+
+    def recorded_shrink(self, base, del_worlds, del_edges, connected, keep=0):
+        result = shrink(self, base, del_worlds, del_edges, connected, keep)
+        computed.add((self, del_worlds, del_edges, connected, keep, result))
+        return result
+
+    monkeypatch.setattr(CompiledModel, "closure", recorded_closure)
+    monkeypatch.setattr(CompiledModel, "shrink", recorded_shrink)
+    return computed
+
+
 def probe_oracles(monkeypatch):
     """Wrap every oracle: each call must come with the exact closure of
     its deletions, holding every keep commitment. Returns the list of
@@ -320,10 +343,11 @@ class TestStructuralPruning:
 
     @pytest.mark.parametrize("connected", [True, False])
     def test_stream_is_sorted_brute_force(self, connected, monkeypatch):
-        # the closure cache may hold only complete closures: a keep
-        # rejection stored there would answer later queries with the
-        # same deletions and other keeps
+        # every closure computed in the sweep is the reference closure of
+        # its deletions, or None when the reference is None or misses a
+        # kept world
         probe_oracles(monkeypatch)
+        computed = record_closures(monkeypatch)
         rng = random.Random(9091)
         models = list(families.all_models(3, atoms=("p", "q")))[::97]
         battery = (
@@ -363,9 +387,14 @@ class TestStructuralPruning:
                         assert EXTENDERS[kind](query) == want, (
                             F.render_formula(phi), kind, states, model
                         )
-            c = compile_model(model)
-            for (del_w, del_e, linked), cl in c._closure_cache.items():
-                assert cl == reference_closure(c, del_w, del_e, linked)
+            assert computed
+            for c, del_w, del_e, linked, keep, cl in computed:
+                want = reference_closure(c, del_w, del_e, linked)
+                if cl is None:
+                    assert want is None or keep & ~want[0], (model, del_w, del_e, keep)
+                else:
+                    assert cl == want, (model, del_w, del_e, keep)
+            computed.clear()
 
     @settings(max_examples=150, deadline=None)
     @given(small_models(), formula_trees(max_leaves=5, atoms=("p", "q")))
@@ -741,6 +770,28 @@ class TestOneWalk:
                     assert len(set(keys)) == len(keys), (text, seed)
                     closed += len(keys)
         assert closed > 1000
+
+
+class TestRetainedMemory:
+    def test_session_leaves_nothing_behind(self):
+        # a finished session keeps nothing per search node: after the
+        # 8,191-solution chain stream, the compiled model and the process
+        # hold what they held after a one-solution session on it
+        model = families.chain_models(13)
+        phi = parse_formula("EF p")
+        compile_model.cache_clear()
+        tracemalloc.start()
+        try:
+            list(enumerate_submodels(model, phi, limit=1))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            count = sum(1 for _ in enumerate_submodels(model, phi))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert count == 2 ** 13 - 1
+        assert grown < 512 * 1024, grown
 
 
 class TestStats:

