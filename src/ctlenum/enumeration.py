@@ -653,12 +653,10 @@ def _lasso_masks(
         prefix = _bfs_path(succ, c.root, x_worlds)
         stem, cycle = _walk_to_repeat(succ, prefix, wmask)
     elif form.shape == "AG":
-        eg_program = compile_formula(F.EG(F.Atom(form.atom)))
-        holds_eg = label_masks(c, wmask, emask, eg_program)[-1]
+        holds_eg = label_masks(c, wmask, emask, compile_formula(F.EG(F.Atom(form.atom))))[-1]
         stem, cycle = _walk_to_repeat(succ, [c.root], holds_eg)
     elif form.shape == "AFAG":
-        eg_program = compile_formula(F.EG(F.Atom(form.atom)))
-        holds_eg = label_masks(c, wmask, emask, eg_program)[-1]
+        holds_eg = label_masks(c, wmask, emask, compile_formula(F.EG(F.Atom(form.atom))))[-1]
         reach = c.reach(emask, c.root) & holds_eg
         start = (reach & -reach).bit_length() - 1
         _, cycle = _walk_to_repeat(succ, [start], holds_eg)

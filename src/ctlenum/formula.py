@@ -260,6 +260,9 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+_PREFIX = {"!": Not, **UNARY_TEMPORAL}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -287,12 +290,15 @@ class _Parser:
         )
 
     def formula(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "->":
+        # a -> b -> c is a -> (b -> c): fold from the right, in a loop
+        operands = [self.disj()]
+        while self.peek().kind == "->":
             self.advance()
-            right = self.formula()
-            return Or(Not(left), right)
-        return left
+            operands.append(self.disj())
+        node = operands.pop()
+        while operands:
+            node = Or(Not(operands.pop()), node)
+        return node
 
     def disj(self) -> Formula:
         node = self.conj()
@@ -309,14 +315,14 @@ class _Parser:
         return node
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind in UNARY_TEMPORAL:
-            self.advance()
-            return UNARY_TEMPORAL[tok.kind](self.unary())
-        return self.primary()
+        # read the whole prefix, then apply it innermost first
+        prefix = []
+        while self.peek().kind in _PREFIX:
+            prefix.append(_PREFIX[self.advance().kind])
+        node = self.primary()
+        while prefix:
+            node = prefix.pop()(node)
+        return node
 
     def primary(self) -> Formula:
         tok = self.peek()

@@ -273,8 +273,10 @@ class CompiledModel:
     and in-edges, in_mask[w] that of its in-edges from other worlds,
     pred_worlds[w] the mask of worlds with an edge into w;
     src_bit[e] and dst_bit[e] are the world bits of edge e's source and
-    target, and loop_edges is the mask of the self-loops. The tables that
-    turn masks into canonical lines are built on the first submodel call.
+    target, and loop_edges is the mask of the self-loops. image maps a
+    world set to its entering edges through in_tables, and an edge set to
+    their sources through src_tables. The tables that turn masks into
+    canonical lines are built on the first submodel call.
     """
 
     __slots__ = (
@@ -293,6 +295,8 @@ class CompiledModel:
         "src_bit",
         "dst_bit",
         "loop_edges",
+        "in_tables",
+        "src_tables",
         "all_worlds",
         "all_edges",
         "label_worlds",
@@ -318,19 +322,21 @@ class CompiledModel:
         self.out_mask = [0] * self.n
         self.incident = [0] * self.n
         self.pred_worlds = [0] * self.n
+        entering = [0] * self.n
         for e, (src, dst) in enumerate(self.edges):
             self.out_mask[src] |= 1 << e
             self.incident[src] |= 1 << e
             self.incident[dst] |= 1 << e
             self.pred_worlds[dst] |= 1 << src
-        self.in_mask = [
-            incident & ~out for incident, out in zip(self.incident, self.out_mask)
-        ]
+            entering[dst] |= 1 << e
         self.src_bit = [1 << src for src, _ in self.edges]
         self.dst_bit = [1 << dst for _, dst in self.edges]
         self.loop_edges = sum(
             1 << e for e, (src, dst) in enumerate(self.edges) if src == dst
         )
+        self.in_mask = [into & ~self.loop_edges for into in entering]
+        self.in_tables = _image_tables(entering)
+        self.src_tables = _image_tables(self.src_bit)
         self.all_worlds = (1 << self.n) - 1
         self.all_edges = (1 << self.m) - 1
         self.label_worlds: dict[str, int] = {}
@@ -625,6 +631,35 @@ class _CanonicalOrder:
         for i in indices:
             ranks |= self.rank_bit[i]
         return [self.items[i] for i in indices], ranks
+
+
+# image reads a mask six bits at a time; eight-bit tables cost more to
+# build for each fresh model than their fewer lookups save
+_CHUNK = 6
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
+def _image_tables(images: list[int]) -> list[list[int]]:
+    """Per chunk of _CHUNK items, the union of the images of each subset,
+    indexed by the subset's bits: 2 ** _CHUNK entries, fewer when short."""
+    tables = []
+    for start in range(0, len(images), _CHUNK):
+        table = [0]
+        for img in images[start:start + _CHUNK]:
+            table += [x | img for x in table]
+        tables.append(table)
+    return tables
+
+
+def image(tables: list[list[int]], mask: int) -> int:
+    """The union of the images of mask's items, through in_tables or src_tables."""
+    out = 0
+    for table in tables:
+        if not mask:
+            break
+        out |= table[mask & _CHUNK_MASK]
+        mask >>= _CHUNK
+    return out
 
 
 def _bits(mask: int) -> Iterator[int]:

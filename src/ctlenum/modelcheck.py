@@ -7,21 +7,23 @@ on a structure fills the slots in order, so children are labeled before
 their parents, the root's world set lands in the last slot and no step
 recurses, however deep the formula.
 
-Temporal operators are least or greatest fixpoints over pre-images taken
-through predecessor masks. A least fixpoint (EF, AF, EU, AU) grows from
-its frontier, the worlds added in the last round: only their predecessors
-can join next. A greatest fixpoint (EG, AG, ER, AR) shrinks from the worlds
-removed in the last round: only their predecessors can leave next. Each
-world enters a frontier at most once, so a fixpoint costs one pass over
-the kept edges.
+Pre-images are taken a set at a time from the kept edge mask E through
+the compiled model's maps IN (a world set to the edges entering it) and
+SRC (an edge set to the worlds they leave), so a labeling builds no
+table: EX Z = SRC(E & IN(Z)), AX Z = SRC(E) & ~SRC(E & ~IN(Z)). A least
+fixpoint (EF, AF, EU, AU) grows from its frontier, the worlds added in the
+last round; a greatest one (EG, AG, ER, AR) shrinks from the worlds removed
+in the last round; a round tries only the sources of edges entering those
+worlds, at one map lookup per chunk of worlds or edges.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from . import formula as F
-from .kripke import CompiledModel, KripkeModel, Submodel, _bits, structure_masks
+from .kripke import CompiledModel, KripkeModel, Submodel, _bits, image, structure_masks
 
 LabelingResult = dict[F.Formula, frozenset[str]]
 
@@ -62,9 +64,12 @@ class FormulaProgram:
         return hash(self.formula)
 
 
+@lru_cache(maxsize=1024)
 def compile_formula(phi: F.Formula) -> FormulaProgram:
     """One slot per distinct subformula, children before parents and left
-    subtrees before right ones; walks phi with an explicit stack."""
+    subtrees before right ones; walks phi with an explicit stack. Programs
+    are immutable, so each formula compiles once per process while it
+    stays among the most recently used."""
     slots: dict[F.Formula, int] = {}
     nodes: list[F.Formula] = []
     steps: list[Step] = []
@@ -103,96 +108,60 @@ def compile_formula(phi: F.Formula) -> FormulaProgram:
     return FormulaProgram(phi, tuple(nodes), tuple(steps))
 
 
-def _pre_exists(pred: list[int], target: int) -> int:
-    """Worlds with a successor in target."""
-    out = 0
-    while target:
-        low = target & -target
-        out |= pred[low.bit_length() - 1]
-        target ^= low
-    return out
-
-
-def _pre_all(pred: list[int], succ: list[int], target: int) -> int:
-    """Worlds with a successor, all of whose successors lie in target."""
-    out = candidates = _pre_exists(pred, target)
-    while candidates:
-        low = candidates & -candidates
-        if succ[low.bit_length() - 1] & ~target:
-            out ^= low
-        candidates ^= low
-    return out
-
-
 def _least(
-    pred: list[int], succ: list[int], hold: int, target: int, universal: bool
+    into: list[list[int]], src: list[list[int]], emask: int,
+    hold: int, target: int, universal: bool,
 ) -> int:
     """Least fixpoint of Z = target | (hold & pre(Z)), pre existential or
-    universal. A world joining in a round has a successor that joined in
-    the round before, so only predecessors of the frontier are tried."""
+    universal; under the universal pre-image, inside (the kept edges
+    entering Z) grows with each frontier, and a world with a kept edge
+    outside it cannot join."""
     result = frontier = target
+    inside = 0
     while frontier:
-        grown = _pre_exists(pred, frontier) & hold & ~result
+        entering = emask & image(into, frontier)
+        grown = image(src, entering) & hold & ~result
         if universal:
-            candidates = grown
-            while candidates:
-                low = candidates & -candidates
-                if succ[low.bit_length() - 1] & ~result:
-                    grown ^= low
-                candidates ^= low
+            inside |= entering
+            grown &= ~image(src, emask & ~inside)
         result |= grown
         frontier = grown
     return result
 
 
 def _greatest(
-    pred: list[int], succ: list[int], release: int, base: int, universal: bool
+    into: list[list[int]], src: list[list[int]], emask: int,
+    release: int, base: int, universal: bool,
 ) -> int:
     """Greatest fixpoint of Z = base & (release | pre(Z)), pre existential
-    or universal. After the first round a world can only leave when a
-    successor left in the round before, so only predecessors of the
-    removed worlds are tried; under the universal pre-image each of them
-    leaves."""
-    removed = 0
+    or universal. After the first round every tried world leaves under the
+    universal pre-image; under the existential one, a world with no kept
+    edge into Z (inside, shrunk with each removal) leaves."""
     candidates = base & ~release
-    while candidates:
-        low = candidates & -candidates
-        image = succ[low.bit_length() - 1]
-        if (not image or image & ~base) if universal else not image & base:
-            removed |= low
-        candidates ^= low
+    inside = emask & image(into, base)
+    if universal:
+        removed = candidates & (~image(src, emask) | image(src, emask & ~inside))
+    else:
+        removed = candidates & ~image(src, inside)
     result = base
     while removed:
         result ^= removed
-        candidates = _pre_exists(pred, removed) & result & ~release
+        leaving = image(into, removed)
+        candidates = image(src, emask & leaving) & result & ~release
         if universal:
             removed = candidates
             continue
-        removed = 0
-        while candidates:
-            low = candidates & -candidates
-            if not succ[low.bit_length() - 1] & result:
-                removed |= low
-            candidates ^= low
+        inside &= ~leaving
+        removed = candidates & ~image(src, inside)
     return result
 
 
 def label_masks(
     compiled: CompiledModel, wmask: int, emask: int, program: FormulaProgram
 ) -> list[int]:
-    """World-set bitmask per slot of the program, over the kept structure;
-    the root formula's mask is the last."""
-    succ = compiled.successor_masks(emask)
-    pred = [0] * compiled.n
-    todo = wmask
-    while todo:
-        low = todo & -todo
-        image = succ[low.bit_length() - 1]
-        while image:
-            bit = image & -image
-            pred[bit.bit_length() - 1] |= low
-            image ^= bit
-        todo ^= low
+    """World-set bitmask per slot of the program over the kept structure,
+    whose edges must join kept worlds; the root formula's mask is last."""
+    into, src = compiled.in_tables, compiled.src_tables
     labels = compiled.label_worlds
     masks: list[int] = []
     for op, a, b in program.steps:
@@ -205,25 +174,17 @@ def label_masks(
         elif op == _OR:
             result = masks[a] | masks[b]
         elif op == _EX:
-            result = _pre_exists(pred, masks[a])
+            result = image(src, emask & image(into, masks[a]))
         elif op == _AX:
-            result = _pre_all(pred, succ, masks[a])
-        elif op == _EF:
-            result = _least(pred, succ, wmask, masks[a], False)
-        elif op == _AF:
-            result = _least(pred, succ, wmask, masks[a], True)
-        elif op == _EU:
-            result = _least(pred, succ, masks[a], masks[b], False)
-        elif op == _AU:
-            result = _least(pred, succ, masks[a], masks[b], True)
-        elif op == _EG:
-            result = _greatest(pred, succ, 0, masks[a], False)
-        elif op == _AG:
-            result = _greatest(pred, succ, 0, masks[a], True)
-        elif op == _ER:
-            result = _greatest(pred, succ, masks[a], masks[b], False)
-        elif op == _AR:
-            result = _greatest(pred, succ, masks[a], masks[b], True)
+            result = image(src, emask) & ~image(src, emask & ~image(into, masks[a]))
+        elif op == _EF or op == _AF:
+            result = _least(into, src, emask, wmask, masks[a], op == _AF)
+        elif op == _EU or op == _AU:
+            result = _least(into, src, emask, masks[a], masks[b], op == _AU)
+        elif op == _EG or op == _AG:
+            result = _greatest(into, src, emask, 0, masks[a], op == _AG)
+        elif op == _ER or op == _AR:
+            result = _greatest(into, src, emask, masks[a], masks[b], op == _AR)
         elif op == _TOP:
             result = wmask
         else:

@@ -41,6 +41,10 @@ def test_traced_round(workload, tmp_path):
     assert result["failed"] == 0
     for layer in ("kripke.reach", "kripke.closure", "modelcheck.label"):
         assert result["layers"][f"{layer}.calls"] > 0, layer
+    if workload == "enum-chain":
+        # labeling takes pre-images from per-model maps: no successor
+        # table per closure
+        assert result["layers"]["kripke.successor_masks.calls"] == 0
     if workload.startswith("enum-"):
         # the output path: building each solution and writing its line
         assert result["layers"]["kripke.submodel.ms"] > 0

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ctlenum.cli import main
-from ctlenum.kripke import save_model
+from ctlenum.kripke import KripkeModel, save_model
 from ctlenum import families
 
 
@@ -78,8 +78,10 @@ class TestCheck:
         assert "expected" in err
 
     def test_formula_nested_too_deeply(self, two_world_path):
+        # parentheses still nest by recursion; prefix and implication
+        # chains parse in a loop (TestEnumerate::test_deep_formula_chains)
         code, out, err = run_cli(
-            "check", "--model", two_world_path, "--formula", "!" * 3000 + "p"
+            "check", "--model", two_world_path, "--formula", "(" * 3000 + "p" + ")" * 3000
         )
         assert (code, out) == (2, "")
         assert err == "error: input nested too deeply\n"
@@ -334,6 +336,26 @@ class TestEnumerate:
             process.kill()
             process.wait()
             process.stderr.close()
+
+    @pytest.mark.parametrize(
+        "formula, shallow",
+        [("!" * 10000 + "p", "p"), (" -> ".join(["p"] * 10000), "!p | p")],
+        ids=["not", "implies"],
+    )
+    def test_deep_formula_chains(self, tmp_path, formula, shallow):
+        # 10,000 prefixes or implications parse without recursion and
+        # enumerate what an equivalent shallow formula does
+        path = tmp_path / "labelled.json"
+        save_model(
+            KripkeModel.of(
+                [("r", ["p"]), ("w", [])], [("r", "r"), ("r", "w"), ("w", "w")], "r"
+            ),
+            str(path),
+        )
+        code, out, err = run_cli("enumerate", "--model", str(path), "--formula", formula)
+        assert (code, err) == (0, "")
+        assert out == run_cli("enumerate", "--model", str(path), "--formula", shallow)[1]
+        assert len(out.splitlines()) == 3
 
     def test_deep_model(self, tmp_path):
         # a ground set of 1,199 elements: the search must not recurse per element

@@ -61,6 +61,24 @@ class TestParse:
         p, q, r = atoms("p", "q", "r")
         assert parse_formula("p -> q -> r") == F.Or(F.Not(p), F.Or(F.Not(q), r))
 
+    def test_deep_chains_without_recursion(self):
+        depth = 10000
+        expected: F.Formula = F.Atom("p")
+        for _ in range(depth):
+            expected = F.Not(expected)
+        assert parse_formula("!" * depth + "p") == expected
+        # prefixes apply innermost last-read first: EX !AF p
+        expected = F.Atom("p")
+        for i in range(depth):
+            expected = (F.AF, F.Not, F.EX)[i % 3](expected)
+        text = "".join(("AF ", "!", "EX ")[i % 3] for i in reversed(range(depth)))
+        assert parse_formula(text + "p") == expected
+        names = [f"p{i}" for i in range(depth)]
+        expected = F.Atom(names[-1])
+        for name in reversed(names[:-1]):
+            expected = F.Or(F.Not(F.Atom(name)), expected)
+        assert parse_formula(" -> ".join(names)) == expected
+
     def test_atom_names_with_caret(self):
         assert parse_formula("x1^0") == F.Atom("x1^0")
 
@@ -170,7 +188,7 @@ class TestWalkers:
                 assert weakened is phi
 
     def test_deep_formulas_without_recursion(self):
-        # built in code: the parser still recurses
+        # built in code, apart from the parser
         depth = 5000
         universal: F.Formula = F.Atom("p")
         for _ in range(depth):

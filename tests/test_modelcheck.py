@@ -7,13 +7,39 @@ from ctlenum import families
 from ctlenum import formula as F
 from ctlenum.errors import InvalidModelError
 from ctlenum.formula import duality_equivalents, parse_formula
-from ctlenum.kripke import KripkeModel, Submodel
+from ctlenum.kripke import _CHUNK, KripkeModel, Submodel
 from ctlenum.modelcheck import check, check_equiv, label
 from oracles import naive_check, naive_sat_worlds
 
 
 def small_family(max_worlds=3, atoms=("p",)):
     return list(families.all_models(max_worlds, atoms=atoms))
+
+
+def chunk_spanning_models(seed, count, atoms):
+    """Random models of 9-20 worlds and more than two chunks of edges, so
+    the labeler's image maps span several chunks, some ending in a short
+    one. Each is a random lasso through every world plus a few edges:
+    sparse enough for the path-unfolding oracle."""
+    rng = random.Random(seed)
+    models = []
+    for _ in range(count):
+        n = rng.randint(9, 20)
+        order = list(range(1, n))
+        rng.shuffle(order)
+        edges = set(zip([0, *order], [*order, rng.randrange(n)]))
+        while len(edges) <= 2 * _CHUNK or len(edges) < n + 3:
+            edges.add((rng.randrange(n), rng.randrange(n)))
+        models.append(
+            KripkeModel.of(
+                [(f"w{i}", [a for a in atoms if rng.random() < 0.5]) for i in range(n)],
+                [(f"w{a}", f"w{b}") for a, b in edges],
+                "w0",
+            )
+        )
+    assert all(len(m.worlds) > _CHUNK and len(m.edges) > 2 * _CHUNK for m in models)
+    assert any(len(m.worlds) % _CHUNK and len(m.edges) % _CHUNK for m in models)
+    return models
 
 
 class TestGoldens:
@@ -105,18 +131,19 @@ class TestLabeling:
 
 class TestSemanticsOracle:
     def test_agreement_with_path_unfolding(self):
-        models = small_family()
+        models = small_family()[::5] + chunk_spanning_models(11, 4, ("p",))
         battery = families.formulas_by_size(("p",), 40) + families.afag_chain_formulas(
             "p", 3
         )
-        for model in models[::5]:
+        for model in models:
             for phi in battery:
                 mine = label(model, phi)
                 naive = naive_sat_worlds(model, phi)
-                assert mine[phi] == frozenset(naive[phi]), (
-                    F.render_formula(phi),
-                    model,
-                )
+                for node, worlds in mine.items():
+                    assert worlds == frozenset(naive[node]), (
+                        F.render_formula(node),
+                        model,
+                    )
 
     def test_agreement_two_atoms(self):
         models = small_family(max_worlds=2, atoms=("p", "q"))
@@ -148,25 +175,34 @@ class TestProgramLabeler:
         for phi in battery[1:]:
             conjunction = F.And(conjunction, phi)
         # sparse models and rare targets give fixpoints many rounds
+        cases = []
         for n_worlds, edge_prob in itertools.product((4, 5, 6), (0.1, 0.2, 0.35)):
             for _ in range(4):
                 model = families.random_model(
                     rng, n_worlds, atoms=("p", "q"), edge_prob=edge_prob
                 )
-                sub = families.random_submodel(rng, model, connected=False)
-                for structure in (None, sub):
-                    mine = label(model, conjunction, structure)
-                    naive = naive_sat_worlds(model, conjunction, structure)
-                    assert list(mine) == list(naive)
-                    for node, worlds in mine.items():
-                        assert worlds == frozenset(naive[node]), (
-                            F.render_formula(node),
-                            model,
-                            structure,
-                        )
+                cases.append((model, families.random_submodel(rng, model, connected=False)))
+        for model in chunk_spanning_models(12, 10, ("p", "q")):
+            cases.append((model, families.random_submodel(rng, model, connected=False)))
+        released = 0
+        for model, sub in cases:
+            for structure in (None, sub):
+                mine = label(model, conjunction, structure)
+                naive = naive_sat_worlds(model, conjunction, structure)
+                assert list(mine) == list(naive)
+                for node, worlds in mine.items():
+                    assert worlds == frozenset(naive[node]), (
+                        F.render_formula(node),
+                        model,
+                        structure,
+                    )
+                    if isinstance(node, F.AR) and mine[node.left] and len(worlds) > _CHUNK:
+                        released += 1
+        # release sets that are not empty, across chunk boundaries too
+        assert released
 
     def test_deep_formula_without_recursion(self):
-        # built in code: the parser still recurses
+        # built in code, apart from the parser
         model = KripkeModel.of([("r", ["p"]), ("w", [])], [("r", "r"), ("w", "r")], "r")
         phi: F.Formula = F.Atom("p")
         for depth in range(5000):
