@@ -23,6 +23,11 @@ formulas, where it never explores; and a polynomial one for AF/AG chains
 that hands keep-committed queries on AF-containing forms to the closure
 test, a counted fallback. The walk is one explicit-stack loop, so it
 never recurses once per ground-set position.
+
+With negation on atoms only, a witness node whose must pass
+(modelcheck.must_masks) holds at the root is settled: every completion
+satisfies phi, so below it each node's closure is its witness and no
+node test runs.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .kripke import (
     require_valid,
     structure_masks,
 )
-from .modelcheck import FormulaProgram, compile_formula, label_masks
+from .modelcheck import FormulaProgram, compile_formula, label_masks, must_masks
 
 
 _T = TypeVar("_T")
@@ -74,12 +79,15 @@ class ExtensionQuery:
 class EnumerationStats:
     """Per-gap delays and search-node counts (oracle_calls); one extra
     bucket covers the precomputation before the first solution and the
-    postcomputation after the last."""
+    postcomputation after the last. must_passes counts must passes run
+    at witness nodes, settled the nodes whose subtree they settled."""
 
     solutions: int = 0
     delays_ns: list[int] = field(default_factory=list)
     oracle_calls: list[int] = field(default_factory=list)
     fallback_queries: int = 0
+    must_passes: int = 0
+    settled: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -87,6 +95,8 @@ class EnumerationStats:
             "delays_ns": list(self.delays_ns),
             "oracle_calls": list(self.oracle_calls),
             "fallback_queries": self.fallback_queries,
+            "must_passes": self.must_passes,
+            "settled": self.settled,
         }
 
     def record(
@@ -134,6 +144,9 @@ _Masks = tuple[int, int]
 # a node test's answer when the node's closure fails phi but some
 # completion may still satisfy it: search the node's children
 _EXPLORE = object()
+# a node's mode when every completion of an ancestor satisfies phi
+_SETTLED = object()
+_E_OPERATORS = (F.EX, F.EF, F.EG, F.EU, F.ER)
 
 
 class _Context:
@@ -163,6 +176,9 @@ class _Context:
         weakened = F.existential_weakening(phi)
         if weakened is not None:
             self.weak_program = self.program if weakened is phi else compile_formula(weakened)
+        self.existential = any(isinstance(node, _E_OPERATORS) for node in self.program.nodes)
+        self.must_passes = 0
+        self.settled = 0
         c = self.compiled
         self.positions: list[tuple[int, int]] = [
             (1 << w, 0) for w in c.ground_worlds
@@ -199,43 +215,54 @@ def _node_closure(
 
 def _branch(
     ctx: _Context, pos: int, keep_w: int, keep_e: int, del_w: int, del_e: int,
-    cl: _Masks,
-) -> tuple[int, int, int, int, int, bool]:
+    cl: _Masks, hold: _Masks,
+) -> tuple[int, int, int, int, int, int, int, bool]:
     """The branch step of the walk.
 
     Scans from position pos; cl holds every completion of the node.
     Undecided elements outside cl are folded into the deletions: keeping
-    one is contradictory and deleting it changes nothing. Returns
-    (pos, del_w, del_e, wbit, ebit, deletable) for the first undecided
-    element inside cl, or pos == total when none is left. The element's
-    delete child holds no valid submodel, and is not deletable, when the
-    element is the last out-edge inside cl of a kept world or the root,
-    or, with connected, the last edge inside cl into a kept non-root
-    world from another world.
+    one is contradictory and deleting it changes nothing. The first
+    undecided element inside cl is the branch element. Its delete child
+    holds no valid submodel, and it is not deletable, when it is the last
+    out-edge inside cl of a kept world or the root, or, with connected,
+    the last edge inside cl into a kept non-root world from another
+    world. Such a forced keep is taken here, as one search node, when
+    hold (the last witness, or cl under _EXPLORE) holds it: its keep
+    child would not be tested and would branch on cl again.
+
+    Returns (pos, keep_w, keep_e, del_w, del_e, wbit, ebit, deletable)
+    for the branch element, or pos == total when none is left.
     """
     positions = ctx.positions
     total = len(positions)
     cw, ce = cl
     decided_w = keep_w | del_w
     decided_e = keep_e | del_e
-    while pos < total:
-        wbit, ebit = positions[pos]
-        if not (wbit & decided_w or ebit & decided_e):
-            if wbit & cw or ebit & ce:
-                break
-            del_w |= wbit
-            del_e |= ebit
-        pos += 1
-    else:
-        return total, del_w, del_e, 0, 0, False
-    if ebit:
+    while True:
+        while pos < total:
+            wbit, ebit = positions[pos]
+            if not (wbit & decided_w or ebit & decided_e):
+                if wbit & cw or ebit & ce:
+                    break
+                del_w |= wbit
+                del_e |= ebit
+            pos += 1
+        else:
+            return total, keep_w, keep_e, del_w, del_e, 0, 0, False
+        if not ebit:
+            return pos, keep_w, keep_e, del_w, del_e, wbit, ebit, True
         src_bit, out, dst_bit, into = ctx.edge_rules[pos]
         rest = ce ^ ebit
-        if (src_bit & (keep_w | ctx.root_bit) and not out & rest) or (
-            dst_bit & keep_w and not into & rest
+        if not (
+            (src_bit & (keep_w | ctx.root_bit) and not out & rest)
+            or (dst_bit & keep_w and not into & rest)
         ):
-            return pos, del_w, del_e, wbit, ebit, False
-    return pos, del_w, del_e, wbit, ebit, True
+            return pos, keep_w, keep_e, del_w, del_e, wbit, ebit, True
+        if not ebit & hold[1]:
+            return pos, keep_w, keep_e, del_w, del_e, wbit, ebit, False
+        ctx.nodes += 1
+        keep_e |= ebit
+        pos += 1
 
 
 def _walk(
@@ -245,25 +272,31 @@ def _walk(
     """The one search, depth-first below the node (keep_w, keep_e,
     del_w, del_e), keep child first unless ctx.delete_first.
 
-    A frame carries the closure of its nearest tested ancestor and
-    whether that test answered _EXPLORE. A node is not tested when the
-    last witness completes it or when it is the keep child of a node
-    that explores (same closure, same answer); any other node shrinks
-    its closure, is dropped when that loses the root or a keep, and is
-    tested. Yields every full assignment not reached under _EXPLORE, or
-    with first only the first witness. ctx.nodes counts popped frames.
+    A node carries the closure of its nearest tested ancestor and a mode:
+    None, _EXPLORE when that test explored, or _SETTLED when every
+    completion of an ancestor satisfies phi. A node is not tested when
+    the last witness completes it or when it is the keep child of a node
+    that explores (same closure, same answer); any other node shrinks its
+    closure and is dropped when that loses the root or a keep. Below a
+    settled node the shrunk closure is the witness; elsewhere the node
+    test runs. Without first, a witness settles its node when the must
+    pass (modelcheck.must_masks) puts the root in phi's mask. Yields every
+    full assignment not reached under _EXPLORE, or with first only the
+    first witness. The walk descends into the child it takes first and
+    stacks the other; ctx.nodes counts the nodes it visits.
     """
     total = len(ctx.positions)
     all_worlds, all_edges = ctx.compiled.all_worlds, ctx.compiled.all_edges
     delete_first = ctx.delete_first
+    # with negation on atoms only (a weakening exists), a must pass can
+    # settle a subtree
+    may_settle = not first and ctx.weak_program is not None
     witness: _Masks | None = None
-    stack: list[tuple[int, int, int, int, int, _Masks | None, bool]] = [
-        (0, keep_w, keep_e, del_w, del_e, None, False)
-    ]
-    while stack:
-        pos, keep_w, keep_e, del_w, del_e, cl, explore = stack.pop()
+    pos, cl, mode = 0, None, None
+    stack: list[tuple[int, int, int, int, int, _Masks, object]] = []
+    while True:
         ctx.nodes += 1
-        if not explore and (
+        if mode is not _EXPLORE and (
             witness is None
             or keep_w & ~witness[0]
             or keep_e & ~witness[1]
@@ -272,35 +305,63 @@ def _walk(
         ):
             cl = _node_closure(ctx, cl, keep_w, keep_e, del_w, del_e)
             if cl is None:
-                continue
-            found = test(ctx, keep_w, keep_e, del_w, del_e, cl)
-            if found is None:
-                continue
+                found = None
+            elif mode is _SETTLED:
+                found = cl
+            else:
+                found = test(ctx, keep_w, keep_e, del_w, del_e, cl)
             if found is _EXPLORE:
-                explore = True
+                mode = _EXPLORE
+            elif found is None:
+                cl = None
             elif first:
                 yield found
                 return
             else:
                 witness = found
-        pos, del_w, del_e, wbit, ebit, deletable = _branch(
-            ctx, pos, keep_w, keep_e, del_w, del_e, cl
-        )
-        if pos == total:
+                if mode is None and may_settle and _settles(ctx, keep_e, cl, found):
+                    mode = _SETTLED
+        if cl is not None:
+            pos, keep_w, keep_e, del_w, del_e, wbit, ebit, deletable = _branch(
+                ctx, pos, keep_w, keep_e, del_w, del_e, cl,
+                cl if mode is _EXPLORE else witness,
+            )
+            if pos < total:
+                pos += 1
+                if not deletable:
+                    keep_w |= wbit
+                    keep_e |= ebit
+                    continue
+                delete_mode = mode if mode is _SETTLED else None
+                if delete_first:
+                    stack.append((pos, keep_w | wbit, keep_e | ebit, del_w, del_e, cl, mode))
+                    del_w |= wbit
+                    del_e |= ebit
+                    mode = delete_mode
+                else:
+                    stack.append((pos, keep_w, keep_e, del_w | wbit, del_e | ebit, cl, delete_mode))
+                    keep_w |= wbit
+                    keep_e |= ebit
+                continue
             # under _EXPLORE the kept candidate is valid only if it
             # equals the closure, whose satisfaction was refuted
-            if not explore:
+            if mode is not _EXPLORE:
                 yield all_worlds & ~del_w, all_edges & ~del_e
-            continue
-        keep = (pos + 1, keep_w | wbit, keep_e | ebit, del_w, del_e, cl, explore)
-        if not deletable:
-            stack.append(keep)
-            continue
-        delete = (pos + 1, keep_w, keep_e, del_w | wbit, del_e | ebit, cl, False)
-        if delete_first:
-            stack += (keep, delete)
-        else:
-            stack += (delete, keep)
+        if not stack:
+            return
+        pos, keep_w, keep_e, del_w, del_e, cl, mode = stack.pop()
+
+
+def _settles(ctx: _Context, keep_e: int, cl: _Masks, found: _Masks) -> bool:
+    """Does every completion of the node satisfy phi? A closure witness
+    answers for phi without E-operators, whose must pass is a labeling
+    of the closure; otherwise the must pass decides."""
+    if found != cl or ctx.existential:
+        ctx.must_passes += 1
+        if not must_masks(ctx.compiled, *cl, keep_e, ctx.program)[-1] & ctx.root_bit:
+            return False
+    ctx.settled += 1
+    return True
 
 
 def _closure_test(
@@ -423,6 +484,8 @@ class EnumerationSession:
         finally:
             solutions.close()
             self.stats.fallback_queries = ctx.fallback_queries
+            self.stats.must_passes = ctx.must_passes
+            self.stats.settled = ctx.settled
 
     def _take_nodes(self) -> int:
         nodes, self._ctx.nodes = self._ctx.nodes, 0

@@ -377,39 +377,46 @@ def _precedence(phi: Formula) -> int:
 
 
 def render_formula(phi: Formula) -> str:
-    """Deterministic text form; parse_formula round-trips it structurally."""
+    """Deterministic text form; parse_formula round-trips it structurally.
+    Emits pieces from an explicit stack, so depth costs no recursion."""
+    out: list[str] = []
+    stack: list[Formula | str] = [phi]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(_render_pieces(item)))
+    return "".join(out)
+
+
+def _render_pieces(phi: Formula) -> list[Formula | str]:
+    """phi's text as literal pieces and the child nodes between them."""
     if isinstance(phi, Top):
-        return "true"
+        return ["true"]
     if isinstance(phi, Bottom):
-        return "false"
+        return ["false"]
     if isinstance(phi, Atom):
-        return phi.name
+        return [phi.name]
     if isinstance(phi, Not):
-        child = render_formula(phi.child)
-        return f"!({child})" if _precedence(phi.child) < 3 else f"!{child}"
+        if _precedence(phi.child) < 3:
+            return ["!(", phi.child, ")"]
+        return ["!", phi.child]
     if isinstance(phi, Unary):
-        child = render_formula(phi.child)
         op = operator_name(phi)
-        return f"{op} ({child})" if _precedence(phi.child) < 3 else f"{op} {child}"
+        if _precedence(phi.child) < 3:
+            return [f"{op} (", phi.child, ")"]
+        return [f"{op} ", phi.child]
     if isinstance(phi, And):
-        left = render_formula(phi.left)
-        right = render_formula(phi.right)
-        if _precedence(phi.left) < 2:
-            left = f"({left})"
-        if _precedence(phi.right) <= 2:
-            right = f"({right})"
-        return f"{left} & {right}"
+        left = ["(", phi.left, ")"] if _precedence(phi.left) < 2 else [phi.left]
+        right = ["(", phi.right, ")"] if _precedence(phi.right) <= 2 else [phi.right]
+        return left + [" & "] + right
     if isinstance(phi, Or):
-        left = render_formula(phi.left)
-        right = render_formula(phi.right)
-        if _precedence(phi.right) <= 1:
-            right = f"({right})"
-        return f"{left} | {right}"
+        right = ["(", phi.right, ")"] if _precedence(phi.right) <= 1 else [phi.right]
+        return [phi.left, " | "] + right
     if isinstance(phi, Binary):
         op = operator_name(phi)
-        left = render_formula(phi.left)
-        right = render_formula(phi.right)
-        return f"{op[0]}[{left} {op[1]} {right}]"
+        return [f"{op[0]}[", phi.left, f" {op[1]} ", phi.right, "]"]
     raise TypeError(f"not a formula node: {phi!r}")
 
 
@@ -612,23 +619,32 @@ def substitute_atoms(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
 
     Positive occurrences of atom ``x`` use key ``"x"``; negated
     occurrences ``!x`` use key ``"!x"``. Connectives and constants are
-    left untouched.
+    left untouched. Rebuilt bottom-up with an explicit stack; nodes are
+    checked in pre-order, left subtree first.
     """
-    if isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, Atom):
-        if phi.name not in mapping:
-            raise UnmappedAtom(phi.name)
-        return mapping[phi.name]
-    if isinstance(phi, Not):
-        if not isinstance(phi.child, Atom):
-            raise NotNNF("negation above a non-atom")
-        key = "!" + phi.child.name
-        if key not in mapping:
-            raise UnmappedAtom(key)
-        return mapping[key]
-    if isinstance(phi, And):
-        return And(substitute_atoms(phi.left, mapping), substitute_atoms(phi.right, mapping))
-    if isinstance(phi, Or):
-        return Or(substitute_atoms(phi.left, mapping), substitute_atoms(phi.right, mapping))
-    raise NotNNF(f"temporal operator in propositional skeleton: {render_formula(phi)}")
+    done: dict[int, Formula] = {}  # id of a node -> its substitute
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            left, right = done[id(node.left)], done[id(node.right)]
+            done[id(node)] = type(node)(left, right)
+            continue
+        if isinstance(node, (Top, Bottom)):
+            done[id(node)] = node
+        elif isinstance(node, Atom):
+            if node.name not in mapping:
+                raise UnmappedAtom(node.name)
+            done[id(node)] = mapping[node.name]
+        elif isinstance(node, Not):
+            if not isinstance(node.child, Atom):
+                raise NotNNF("negation above a non-atom")
+            key = "!" + node.child.name
+            if key not in mapping:
+                raise UnmappedAtom(key)
+            done[id(node)] = mapping[key]
+        elif isinstance(node, (And, Or)):
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            raise NotNNF(f"temporal operator in propositional skeleton: {render_formula(node)}")
+    return done[id(phi)]

@@ -14,7 +14,9 @@ table: EX Z = SRC(E & IN(Z)), AX Z = SRC(E) & ~SRC(E & ~IN(Z)). A least
 fixpoint (EF, AF, EU, AU) grows from its frontier, the worlds added in the
 last round; a greatest one (EG, AG, ER, AR) shrinks from the worlds removed
 in the last round; a round tries only the sources of edges entering those
-worlds, at one map lookup per chunk of worlds or edges.
+worlds, at one map lookup per chunk of worlds or edges. must_masks runs
+the same loop with the E-operators' pre-images taken over a second,
+smaller edge mask: the must pass of a search node.
 """
 
 from __future__ import annotations
@@ -161,6 +163,23 @@ def label_masks(
 ) -> list[int]:
     """World-set bitmask per slot of the program over the kept structure,
     whose edges must join kept worlds; the root formula's mask is last."""
+    return must_masks(compiled, wmask, emask, emask, program)
+
+
+def must_masks(
+    compiled: CompiledModel, wmask: int, emask: int, must: int, program: FormulaProgram
+) -> list[int]:
+    """label_masks with the E-operators' pre-images taken over the edges
+    in must (a subset of emask) and the A-operators' over emask.
+
+    Read (wmask, emask) as the greatest completion of a search node and
+    must as its kept edges. With negation on atoms only, every world of
+    a slot's mask that a completion keeps satisfies the slot's formula
+    there: atoms and A-operators survive passing to a total substructure,
+    E-operators follow kept edges, which every completion holds, and the
+    connectives are monotone. So the root in the last mask means every
+    completion satisfies the formula.
+    """
     into, src = compiled.in_tables, compiled.src_tables
     labels = compiled.label_worlds
     masks: list[int] = []
@@ -174,17 +193,21 @@ def label_masks(
         elif op == _OR:
             result = masks[a] | masks[b]
         elif op == _EX:
-            result = image(src, emask & image(into, masks[a]))
+            result = image(src, must & image(into, masks[a]))
         elif op == _AX:
             result = image(src, emask) & ~image(src, emask & ~image(into, masks[a]))
         elif op == _EF or op == _AF:
-            result = _least(into, src, emask, wmask, masks[a], op == _AF)
+            edges = emask if op == _AF else must
+            result = _least(into, src, edges, wmask, masks[a], op == _AF)
         elif op == _EU or op == _AU:
-            result = _least(into, src, emask, masks[a], masks[b], op == _AU)
+            edges = emask if op == _AU else must
+            result = _least(into, src, edges, masks[a], masks[b], op == _AU)
         elif op == _EG or op == _AG:
-            result = _greatest(into, src, emask, 0, masks[a], op == _AG)
+            edges = emask if op == _AG else must
+            result = _greatest(into, src, edges, 0, masks[a], op == _AG)
         elif op == _ER or op == _AR:
-            result = _greatest(into, src, emask, masks[a], masks[b], op == _AR)
+            edges = emask if op == _AR else must
+            result = _greatest(into, src, edges, masks[a], masks[b], op == _AR)
         elif op == _TOP:
             result = wmask
         else:

@@ -27,13 +27,17 @@ from .kripke import KripkeModel, Submodel, require_valid
 
 def is_nnf_propositional(phi: F.Formula) -> bool:
     """Propositional with negation only directly above atoms."""
-    if isinstance(phi, (F.Top, F.Bottom, F.Atom)):
-        return True
-    if isinstance(phi, F.Not):
-        return isinstance(phi.child, F.Atom)
-    if isinstance(phi, (F.And, F.Or)):
-        return is_nnf_propositional(phi.left) and is_nnf_propositional(phi.right)
-    return False
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (F.And, F.Or)):
+            stack += (node.right, node.left)
+        elif isinstance(node, F.Not):
+            if not isinstance(node.child, F.Atom):
+                return False
+        elif not isinstance(node, (F.Top, F.Bottom, F.Atom)):
+            return False
+    return True
 
 
 def require_nnf(phi: F.Formula) -> None:
@@ -51,21 +55,37 @@ def prop_variables(phi: F.Formula) -> list[str]:
 
 
 def eval_prop(phi: F.Formula, assignment: dict[str, bool]) -> bool:
-    if isinstance(phi, F.Top):
-        return True
-    if isinstance(phi, F.Bottom):
-        return False
-    if isinstance(phi, F.Atom):
-        if phi.name not in assignment:
-            raise PartialAssignment(phi.name)
-        return assignment[phi.name]
-    if isinstance(phi, F.Not):
-        return not eval_prop(phi.child, assignment)
-    if isinstance(phi, F.And):
-        return eval_prop(phi.left, assignment) and eval_prop(phi.right, assignment)
-    if isinstance(phi, F.Or):
-        return eval_prop(phi.left, assignment) or eval_prop(phi.right, assignment)
-    raise NotNNF(F.render_formula(phi))
+    """Truth of phi under the assignment, left to right with short
+    circuits (an unassigned variable past a decided connective is never
+    read), on an explicit stack of the connectives awaiting a value."""
+    # (connective, whether its right operand is the one being evaluated)
+    pending: list[tuple[F.Formula, bool]] = []
+    node = phi
+    while True:
+        while isinstance(node, (F.Not, F.And, F.Or)):
+            pending.append((node, False))
+            node = node.child if isinstance(node, F.Not) else node.left
+        if isinstance(node, F.Top):
+            value = True
+        elif isinstance(node, F.Bottom):
+            value = False
+        elif isinstance(node, F.Atom):
+            if node.name not in assignment:
+                raise PartialAssignment(node.name)
+            value = assignment[node.name]
+        else:
+            raise NotNNF(F.render_formula(node))
+        while True:
+            if not pending:
+                return value
+            parent, on_right = pending.pop()
+            if isinstance(parent, F.Not):
+                value = not value
+            elif not on_right and value != isinstance(parent, F.Or):
+                # the left operand does not decide the connective
+                pending.append((parent, True))
+                node = parent.right
+                break
 
 
 def brute_sat(phi: F.Formula, cap: int = 20) -> dict[str, bool] | None:

@@ -9,6 +9,7 @@ It shares no code with the fixpoint labeler.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from ctlenum import formula as F
 from ctlenum.kripke import CompiledModel, KripkeModel, Submodel
@@ -28,20 +29,22 @@ def _structure(model: KripkeModel, sub: Submodel | None):
     return worlds, succ, labels
 
 
-def _prefixes(succ: dict[str, list[str]], start: str, horizon: int) -> list[tuple[str, ...]]:
-    out: list[tuple[str, ...]] = []
-
-    def grow(path: list[str]):
+def _prefixes(succ: dict[str, list[str]], start: str, horizon: int) -> Iterator[tuple[str, ...]]:
+    """Every path of horizon worlds from start, depth first, one at a
+    time: memory stays linear in the horizon however many paths exist."""
+    path = [start]
+    branches = [iter(succ[start])]
+    while branches:
         if len(path) == horizon:
-            out.append(tuple(path))
-            return
-        for nxt in succ[path[-1]]:
-            path.append(nxt)
-            grow(path)
-            path.pop()
-
-    grow([start])
-    return out
+            yield tuple(path)
+        else:
+            nxt = next(branches[-1], None)
+            if nxt is not None:
+                path.append(nxt)
+                branches.append(iter(succ[nxt]))
+                continue
+        path.pop()
+        branches.pop()
 
 
 def _until_ok(prefix, hold, until) -> bool:
@@ -69,7 +72,10 @@ def naive_sat_worlds(
 ) -> dict[F.Formula, set[str]]:
     worlds, succ, labels = _structure(model, sub)
     horizon = len(worlds) + 1
-    prefix_cache = {w: _prefixes(succ, w, horizon) for w in worlds}
+
+    def paths(w: str) -> Iterator[tuple[str, ...]]:
+        return _prefixes(succ, w, horizon)
+
     memo: dict[F.Formula, set[str]] = {}
 
     def sat(node: F.Formula) -> set[str]:
@@ -89,37 +95,37 @@ def naive_sat_worlds(
             result = sat(node.left) | sat(node.right)
         elif isinstance(node, F.EX):
             s = sat(node.child)
-            result = {w for w in worlds if any(p[1] in s for p in prefix_cache[w])}
+            result = {w for w in worlds if any(p[1] in s for p in paths(w))}
         elif isinstance(node, F.AX):
             s = sat(node.child)
-            result = {w for w in worlds if all(p[1] in s for p in prefix_cache[w])}
+            result = {w for w in worlds if all(p[1] in s for p in paths(w))}
         elif isinstance(node, F.EF):
             s = sat(node.child)
             result = {
                 w
                 for w in worlds
-                if any(any(x in s for x in p) for p in prefix_cache[w])
+                if any(any(x in s for x in p) for p in paths(w))
             }
         elif isinstance(node, F.AF):
             s = sat(node.child)
             result = {
                 w
                 for w in worlds
-                if all(any(x in s for x in p) for p in prefix_cache[w])
+                if all(any(x in s for x in p) for p in paths(w))
             }
         elif isinstance(node, F.EG):
             s = sat(node.child)
             result = {
                 w
                 for w in worlds
-                if any(all(x in s for x in p) for p in prefix_cache[w])
+                if any(all(x in s for x in p) for p in paths(w))
             }
         elif isinstance(node, F.AG):
             s = sat(node.child)
             result = {
                 w
                 for w in worlds
-                if all(all(x in s for x in p) for p in prefix_cache[w])
+                if all(all(x in s for x in p) for p in paths(w))
             }
         elif isinstance(node, (F.EU, F.AU)):
             hold, until = sat(node.left), sat(node.right)
@@ -127,7 +133,7 @@ def naive_sat_worlds(
             result = {
                 w
                 for w in worlds
-                if quantifier(_until_ok(p, hold, until) for p in prefix_cache[w])
+                if quantifier(_until_ok(p, hold, until) for p in paths(w))
             }
         elif isinstance(node, (F.ER, F.AR)):
             release, base = sat(node.left), sat(node.right)
@@ -135,7 +141,7 @@ def naive_sat_worlds(
             result = {
                 w
                 for w in worlds
-                if quantifier(_release_ok(p, release, base) for p in prefix_cache[w])
+                if quantifier(_release_ok(p, release, base) for p in paths(w))
             }
         else:
             raise TypeError(node)

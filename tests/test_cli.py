@@ -200,6 +200,9 @@ class TestEnumerate:
         assert len(stats["delays_ns"]) == 4
         assert len(stats["oracle_calls"]) == 4
         assert stats["fallback_queries"] == 0
+        # the root's closure satisfies `true`, which has no E-operator: the
+        # root settles without a must pass
+        assert (stats["must_passes"], stats["settled"]) == (0, 1)
 
     def test_brute_oracle_agrees(self, two_world_path):
         fast = run_cli("enumerate", "--model", two_world_path, "--formula", "true")[1]
@@ -230,7 +233,7 @@ class TestEnumerate:
         assert stats["solutions"] == expected
         assert len(stats["delays_ns"]) == expected + 1
         assert stats["oracle_calls"] == [0] * (expected + 1)
-        assert stats["fallback_queries"] == 0
+        assert stats["fallback_queries"] == stats["must_passes"] == stats["settled"] == 0
 
     def test_include_disconnected(self, tmp_path):
         from ctlenum.kripke import KripkeModel
@@ -451,6 +454,30 @@ class TestReduce:
         code, out, err = run_cli("reduce", "sat-ag", "--formula", formula, "--out", str(out_dir))
         assert (code, out, err) == (2, "", message)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("encoding", ["negation", "relabel"])
+    def test_sat_ag_flat_cnf(self, tmp_path, encoding):
+        # a 1,500-clause & chain parses in a loop and is left-deep; the
+        # reduction's NNF check, substitution and rendering must not recurse
+        from ctlenum.formula import parse_formula
+        from ctlenum.reductions import sat_to_ag
+
+        names = [f"x{i}" for i in range(12)]
+        clauses = [
+            f"({names[i % 12]} | !{names[(i * 5 + 1) % 12]} | {names[(i * 7 + 3) % 12]})"
+            for i in range(1500)
+        ]
+        text = " & ".join(clauses)
+        source = tmp_path / "cnf.txt"
+        source.write_text(text)
+        out_dir = tmp_path / "flat"
+        code, _, err = run_cli(
+            "reduce", "sat-ag", "--formula-file", str(source),
+            "--encoding", encoding, "--out", str(out_dir),
+        )
+        assert (code, err) == (0, "")
+        written = parse_formula((out_dir / "formula.txt").read_text())
+        assert written == sat_to_ag(parse_formula(text), encoding=encoding).formula
 
     def test_missing_input(self, tmp_path):
         for kind, needed in (("hampath-af", "--digraph"), ("sat-ag", "--formula")):

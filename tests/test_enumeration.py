@@ -38,8 +38,8 @@ from ctlenum.kripke import (
     ground_set,
     is_valid_submodel,
 )
-from ctlenum.modelcheck import check
-from oracles import reference_closure, relabeled_exists_afag
+from ctlenum.modelcheck import check, compile_formula, must_masks
+from oracles import naive_check, reference_closure, relabeled_exists_afag
 from test_formula import formula_trees
 
 
@@ -406,6 +406,109 @@ class TestStructuralPruning:
                 assert set(got) == expected, (F.render_formula(phi), kind, connected)
             if connected:
                 assert exists_submodel(model, phi) == bool(expected)
+
+
+class TestMustPass:
+    """The must pass at random partial decisions: whenever it puts the
+    root in phi's mask, every valid completion of the decision satisfies
+    phi, under check and under the naive path-unfolding checker."""
+
+    TEXTS = (
+        "AG (p -> AF q)", "EF (p & EX q)", "A[p U q]", "E[p R q]", "AG (p | EF q)",
+        "AF AG q", "EG (p -> AX q)", "AG (p -> EX q)", "A[p U EX q]", "AF (q & EG p)",
+        "EF AG p", "AX (p | EF q)", "A[EF p R (q | EX p)]", "E[AX p U AG !q]",
+    )
+
+    @staticmethod
+    def battery():
+        small = families.formulas_by_size(("p", "q"), 240)[40::6]
+        chains = families.afag_chain_formulas("p", 3)
+        parsed = [parse_formula(text) for text in TestMustPass.TEXTS]
+        return [
+            phi for phi in small + chains + parsed
+            if F.existential_weakening(phi) is not None
+        ]
+
+    @staticmethod
+    def valid_submodels(c, connected):
+        """Masks of every valid submodel of the compiled model."""
+        found = []
+        others = c.ground_worlds
+        for picked in range(1 << len(others)):
+            wmask = 1 << c.root
+            for i, w in enumerate(others):
+                if picked >> i & 1:
+                    wmask |= 1 << w
+            allowed = 0
+            for e, (src, dst) in enumerate(c.edges):
+                if wmask >> src & 1 and wmask >> dst & 1:
+                    allowed |= 1 << e
+            emask = allowed
+            while True:
+                if c.valid(wmask, emask, connected):
+                    found.append((wmask, emask))
+                if not emask:
+                    break
+                emask = (emask - 1) & allowed
+        return found
+
+    def settled_decisions(self, model, battery, rng, draws):
+        """Checks draws random decisions per formula and connectivity;
+        returns how many the must pass settled."""
+        c = compile_model(model)
+        positions = [(1 << w, 0) for w in c.ground_worlds] + [(0, 1 << e) for e in range(c.m)]
+        settled = 0
+        for connected in (True, False):
+            submodels = self.valid_submodels(c, connected)
+            for phi in battery:
+                program = compile_formula(phi)
+                verdicts = {}
+                for _ in range(draws):
+                    keep_w = keep_e = del_w = del_e = 0
+                    decide = rng.random()
+                    for wbit, ebit in positions:
+                        if rng.random() >= decide:
+                            continue
+                        if rng.random() < 0.5:
+                            keep_w, keep_e = keep_w | wbit, keep_e | ebit
+                        else:
+                            del_w, del_e = del_w | wbit, del_e | ebit
+                    cl = c.closure(del_w, del_e, connected)
+                    if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
+                        continue
+                    if not must_masks(c, *cl, keep_e, program)[-1] >> c.root & 1:
+                        continue
+                    settled += 1
+                    for w, e in submodels:
+                        if keep_w & ~w or keep_e & ~e or del_w & w or del_e & e:
+                            continue
+                        if (w, e) not in verdicts:
+                            sub = c.submodel(w, e)
+                            verdicts[w, e] = check(model, phi, sub) and naive_check(model, phi, sub)
+                        assert verdicts[w, e], (F.render_formula(phi), model, keep_w, keep_e, del_w, del_e)
+        return settled
+
+    def test_three_world_models(self):
+        rng = random.Random(4417)
+        battery = self.battery()
+        models = list(families.all_models(3, atoms=("p", "q")))[::331]
+        settled = sum(self.settled_decisions(model, battery, rng, 6) for model in models)
+        assert settled > 1500
+
+    def test_random_models(self):
+        rng = random.Random(4421)
+        battery = self.battery()
+        models = [families.random_model(rng, n, atoms=("p", "q"), edge_prob=0.3) for n in (4, 5) * 4]
+        # 6 and 7 worlds, ground sets of at most 17 elements: the naive
+        # checker walks its paths without storing them
+        for n in (6, 7):
+            while True:
+                model = families.random_model(rng, n, atoms=("p", "q"), edge_prob=0.15)
+                if n - 1 + len(model.edges) <= 17:
+                    models.append(model)
+                    break
+        settled = sum(self.settled_decisions(model, battery, rng, 4) for model in models)
+        assert settled > 300
 
 
 class TestExhaustiveExtension:
@@ -829,12 +932,48 @@ class TestStats:
             assert max(session.stats.oracle_calls) <= len(ground_set(model)) + 1
             answers.clear()
 
-    def test_fallback_counter(self, revisit_example):
-        session = enumerate_submodels(
-            revisit_example, parse_formula("AF x"), oracle=OracleKind.AFAG
+    def test_chain_settles_at_the_root(self, monkeypatch):
+        # EF p with p on the root holds in every completion of the root:
+        # one labeling and one must pass serve the whole stream
+        labelings = []
+        label_masks = enumeration.label_masks
+
+        def counted(*args):
+            labelings.append(args)
+            return label_masks(*args)
+
+        monkeypatch.setattr(enumeration, "label_masks", counted)
+        session = enumerate_submodels(families.chain_models(8), parse_formula("EF p"))
+        assert sum(1 for _ in session) == 2 ** 8 - 1
+        assert len(labelings) == 1
+        assert (session.stats.must_passes, session.stats.settled) == (1, 1)
+
+    def test_fallback_counter(self):
+        # the closure fails AF x (every world has a self-loop), so no
+        # subtree settles and keep-committed AF nodes fall back
+        chain = families.chain_models(4)
+        model = KripkeModel.of(
+            [(w.id, ["x"] if w.id == "w4" else []) for w in chain.worlds],
+            chain.edges,
+            chain.root,
         )
-        list(session)
+        session = enumerate_submodels(model, parse_formula("AF x"), oracle=OracleKind.AFAG)
+        assert len(list(session)) == 1
+        assert session.stats.settled == 0
         assert session.stats.fallback_queries > 0
+
+    def test_settled_root_makes_no_fallback(self, revisit_example):
+        # every completion of the root satisfies AF x: the root settles and
+        # no node below it is tested
+        phi = parse_formula("AF x")
+        session = enumerate_submodels(revisit_example, phi, oracle=OracleKind.AFAG)
+        lines = [canonical_serialize(sub) for sub in session]
+        assert session.stats.settled == 1
+        assert session.stats.fallback_queries == 0
+        assert sorted(lines) == sorted(
+            canonical_serialize(sub) for sub in brute_force_enumerate(revisit_example, phi)
+        )
+        assert session.stats.to_dict()["settled"] == 1
 
     def test_single_use(self, two_world_model):
         session = enumerate_submodels(two_world_model, F.Top())

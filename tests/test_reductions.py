@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from ctlenum.reductions import (
     digraph_from_dict,
     digraph_to_dict,
     eval_prop,
+    is_nnf_propositional,
     hampath_to_af,
     hampath_to_ar,
     hampath_to_au,
@@ -47,6 +49,67 @@ def nnf_battery():
     ]
     texts += ["(x1 & !x2) | (!x1 & x2)", "(x1 | x2) & (!x1 | x3) & (!x2 | !x3)"]
     return [parse_formula(t) for t in texts]
+
+
+def random_prop(rng, depth):
+    """A random propositional formula over x1..x3, negation anywhere."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([F.Top(), F.Bottom(), F.Atom("x1"), F.Atom("x2"), F.Atom("x3")])
+    kind = rng.choice([F.Not, F.And, F.Or])
+    if kind is F.Not:
+        return F.Not(random_prop(rng, depth - 1))
+    return kind(random_prop(rng, depth - 1), random_prop(rng, depth - 1))
+
+
+def reference_eval(phi, assignment):
+    """Recursive evaluation, left to right with short circuits."""
+    if isinstance(phi, (F.Top, F.Bottom)):
+        return isinstance(phi, F.Top)
+    if isinstance(phi, F.Atom):
+        if phi.name not in assignment:
+            raise PartialAssignment(phi.name)
+        return assignment[phi.name]
+    if isinstance(phi, F.Not):
+        return not reference_eval(phi.child, assignment)
+    if isinstance(phi, F.And):
+        return reference_eval(phi.left, assignment) and reference_eval(phi.right, assignment)
+    return reference_eval(phi.left, assignment) or reference_eval(phi.right, assignment)
+
+
+class TestPropositionalWalks:
+    def test_eval_matches_recursive_reference(self):
+        # partial assignments: an unassigned variable raises only where
+        # the recursive evaluation reads it
+        rng = random.Random(2291)
+        for _ in range(400):
+            phi = random_prop(rng, 5)
+            assignment = {
+                name: rng.random() < 0.5 for name in ("x1", "x2", "x3") if rng.random() < 0.8
+            }
+            try:
+                want = reference_eval(phi, assignment)
+            except PartialAssignment as exc:
+                with pytest.raises(PartialAssignment, match=str(exc)):
+                    eval_prop(phi, assignment)
+            else:
+                assert eval_prop(phi, assignment) == want, render_formula(phi)
+
+    def test_deep_chains(self):
+        literals = [F.Atom(f"x{i % 7}") if i % 3 else F.Not(F.Atom(f"x{i % 7}")) for i in range(6000)]
+        assignment = {f"x{i}": i % 2 == 0 for i in range(7)}
+        for kind in (F.And, F.Or):
+            left = right = literals[0]
+            for literal in literals[1:]:
+                left = kind(left, literal)
+                right = kind(literal, right)
+            for phi in (left, right):
+                assert is_nnf_propositional(phi)
+                assert eval_prop(phi, assignment) == (kind is F.Or)
+            # the parser recurses into parentheses, so only the left-deep
+            # chain, which renders without them, is parsed back
+            assert parse_formula(render_formula(left)) == left
+            assert render_formula(right).count("(") == len(literals) - 2
+        assert not is_nnf_propositional(F.And(left, F.Not(F.Not(F.Atom("x1")))))
 
 
 class TestBruteSat:
