@@ -24,10 +24,16 @@ that hands keep-committed queries on AF-containing forms to the closure
 test, a counted fallback. The walk is one explicit-stack loop, so it
 never recurses once per ground-set position.
 
-With negation on atoms only, a witness node whose must pass
-(modelcheck.must_masks) holds at the root is settled: every completion
-satisfies phi, so below it each node's closure is its witness and no
-node test runs.
+With negation on atoms only, the node's kept edges make two passes of
+the labeling loop over its closure sharper than a plain labeling. The
+may pass (modelcheck.may_masks) takes the A-operators' universal
+conditions over the kept edges only: every completion is a total
+substructure of the closure that holds them, so the root outside phi's
+may mask prunes a node whose closure fails phi. The must pass
+(modelcheck.must_masks) takes the E-operators' pre-images over the kept
+edges only: a witness node whose must pass holds at the root is
+settled, since every completion satisfies phi, so below it each node's
+closure is its witness and no node test runs.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .kripke import (
     require_valid,
     structure_masks,
 )
-from .modelcheck import FormulaProgram, compile_formula, label_masks, must_masks
+from .modelcheck import compile_formula, label_masks, may_masks, must_masks
 
 
 _T = TypeVar("_T")
@@ -79,13 +85,15 @@ class ExtensionQuery:
 class EnumerationStats:
     """Per-gap delays and search-node counts (oracle_calls); one extra
     bucket covers the precomputation before the first solution and the
-    postcomputation after the last. must_passes counts must passes run
-    at witness nodes, settled the nodes whose subtree they settled."""
+    postcomputation after the last. may_passes counts may passes run at
+    nodes whose closure fails phi, must_passes the must passes run at
+    witness nodes, settled the nodes whose subtree they settled."""
 
     solutions: int = 0
     delays_ns: list[int] = field(default_factory=list)
     oracle_calls: list[int] = field(default_factory=list)
     fallback_queries: int = 0
+    may_passes: int = 0
     must_passes: int = 0
     settled: int = 0
 
@@ -95,6 +103,7 @@ class EnumerationStats:
             "delays_ns": list(self.delays_ns),
             "oracle_calls": list(self.oracle_calls),
             "fallback_queries": self.fallback_queries,
+            "may_passes": self.may_passes,
             "must_passes": self.must_passes,
             "settled": self.settled,
         }
@@ -147,6 +156,7 @@ _EXPLORE = object()
 # a node's mode when every completion of an ancestor satisfies phi
 _SETTLED = object()
 _E_OPERATORS = (F.EX, F.EF, F.EG, F.EU, F.ER)
+_A_OPERATORS = (F.AX, F.AF, F.AG, F.AU, F.AR)
 
 
 class _Context:
@@ -170,13 +180,14 @@ class _Context:
         self.fallback_queries = 0
         self.nodes = 0
         self.program = compile_formula(phi)
-        # None: phi has no existential weakening, so nothing prunes a
-        # closure that fails phi; phi's own program: phi is its weakening
-        self.weak_program: FormulaProgram | None = None
-        weakened = F.existential_weakening(phi)
-        if weakened is not None:
-            self.weak_program = self.program if weakened is phi else compile_formula(weakened)
-        self.existential = any(isinstance(node, _E_OPERATORS) for node in self.program.nodes)
+        nodes = self.program.nodes
+        # negation on atoms only: the may and must passes are sound
+        self.nnf = not any(
+            isinstance(node, F.Not) and not isinstance(node.child, F.Atom) for node in nodes
+        )
+        self.existential = any(isinstance(node, _E_OPERATORS) for node in nodes)
+        self.universal = any(isinstance(node, _A_OPERATORS) for node in nodes)
+        self.may_passes = 0
         self.must_passes = 0
         self.settled = 0
         c = self.compiled
@@ -288,9 +299,8 @@ def _walk(
     total = len(ctx.positions)
     all_worlds, all_edges = ctx.compiled.all_worlds, ctx.compiled.all_edges
     delete_first = ctx.delete_first
-    # with negation on atoms only (a weakening exists), a must pass can
-    # settle a subtree
-    may_settle = not first and ctx.weak_program is not None
+    # with negation on atoms only, a must pass can settle a subtree
+    may_settle = not first and ctx.nnf
     witness: _Masks | None = None
     pos, cl, mode = 0, None, None
     stack: list[tuple[int, int, int, int, int, _Masks, object]] = []
@@ -370,18 +380,24 @@ def _closure_test(
     """The exhaustive and monotone node test on the node's closure.
 
     The closure is itself a reachable completion, so satisfaction there
-    makes it the witness. Every completion is a submodel of it, so a
-    failed existential weakening there prunes the node; otherwise the
-    answer is _EXPLORE. On the monotone fragment the weakening is phi
-    itself, so the test never explores.
+    makes it the witness. Otherwise, with negation on atoms only, the
+    node is pruned when phi has no A-operator (every completion is a
+    submodel of the closure, and such phi survives adding worlds and
+    edges) or when the may pass (modelcheck.may_masks) over the closure
+    and the kept edges leaves the root out of phi's mask; the answer is
+    _EXPLORE when it does not, and whenever a negation sits above
+    anything but an atom. On the monotone fragment the test never
+    explores.
     """
     c = ctx.compiled
-    weak = ctx.weak_program
-    if label_masks(c, *cl, ctx.program)[-1] >> c.root & 1:
+    if label_masks(c, *cl, ctx.program)[-1] & ctx.root_bit:
         return cl
-    if weak is None or (
-        weak is not ctx.program and label_masks(c, *cl, weak)[-1] >> c.root & 1
-    ):
+    if not ctx.nnf:
+        return _EXPLORE
+    if not ctx.universal:
+        return None
+    ctx.may_passes += 1
+    if may_masks(c, *cl, keep_e, ctx.program)[-1] & ctx.root_bit:
         return _EXPLORE
     return None
 
@@ -484,6 +500,7 @@ class EnumerationSession:
         finally:
             solutions.close()
             self.stats.fallback_queries = ctx.fallback_queries
+            self.stats.may_passes = ctx.may_passes
             self.stats.must_passes = ctx.must_passes
             self.stats.settled = ctx.settled
 

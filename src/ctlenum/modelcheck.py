@@ -10,13 +10,20 @@ recurses, however deep the formula.
 Pre-images are taken a set at a time from the kept edge mask E through
 the compiled model's maps IN (a world set to the edges entering it) and
 SRC (an edge set to the worlds they leave), so a labeling builds no
-table: EX Z = SRC(E & IN(Z)), AX Z = SRC(E) & ~SRC(E & ~IN(Z)). A least
-fixpoint (EF, AF, EU, AU) grows from its frontier, the worlds added in the
-last round; a greatest one (EG, AG, ER, AR) shrinks from the worlds removed
-in the last round; a round tries only the sources of edges entering those
-worlds, at one map lookup per chunk of worlds or edges. must_masks runs
-the same loop with the E-operators' pre-images taken over a second,
-smaller edge mask: the must pass of a search node.
+table: EX Z = SRC(E & IN(Z)), AX Z = SRC(E & IN(Z)) & ~SRC(E & ~IN(Z)).
+A least fixpoint (EF, AF, EU, AU) grows from its frontier, the worlds
+added in the last round; a greatest one (EG, AG, ER, AR) shrinks from
+the worlds removed in the last round; a round tries only the sources of
+edges entering those worlds, at one map lookup per chunk of worlds or
+edges.
+
+One loop serves three entry points through three edge roles: the edges
+of the E-operators' pre-images, the edges an A-operator needs one of
+into its argument, and the edges it needs all of there (its universal
+condition). label_masks takes all three from E. must_masks takes the
+first from a node's kept edges: the must pass of a search node. may_masks
+takes the third from them: the may pass, AX Z = SRC(E & IN(Z)) &
+~SRC(must & ~IN(Z)).
 """
 
 from __future__ import annotations
@@ -111,50 +118,53 @@ def compile_formula(phi: F.Formula) -> FormulaProgram:
 
 
 def _least(
-    into: list[list[int]], src: list[list[int]], emask: int,
-    hold: int, target: int, universal: bool,
+    into: list[list[int]], src: list[list[int]], exist: int, univ: int,
+    hold: int, target: int,
 ) -> int:
-    """Least fixpoint of Z = target | (hold & pre(Z)), pre existential or
-    universal; under the universal pre-image, inside (the kept edges
-    entering Z) grows with each frontier, and a world with a kept edge
-    outside it cannot join."""
+    """Least fixpoint of Z = target | (hold & pre(Z)). A world is in
+    pre(Z) when it has an edge of exist into Z and, with univ (0 or a
+    subset of exist), no edge of univ outside Z. inside, the edges
+    entering Z, grows with each frontier; a world joins in the round that
+    its last missing condition comes true, through an edge of exist into
+    that round's frontier."""
     result = frontier = target
     inside = 0
     while frontier:
-        entering = emask & image(into, frontier)
-        grown = image(src, entering) & hold & ~result
-        if universal:
+        entering = image(into, frontier)
+        grown = image(src, exist & entering) & hold & ~result
+        if univ:
             inside |= entering
-            grown &= ~image(src, emask & ~inside)
+            grown &= ~image(src, univ & ~inside)
         result |= grown
         frontier = grown
     return result
 
 
 def _greatest(
-    into: list[list[int]], src: list[list[int]], emask: int,
-    release: int, base: int, universal: bool,
+    into: list[list[int]], src: list[list[int]], exist: int, univ: int,
+    release: int, base: int,
 ) -> int:
-    """Greatest fixpoint of Z = base & (release | pre(Z)), pre existential
-    or universal. After the first round every tried world leaves under the
-    universal pre-image; under the existential one, a world with no kept
-    edge into Z (inside, shrunk with each removal) leaves."""
+    """Greatest fixpoint of Z = base & (release | pre(Z)), pre(Z) as in
+    _least. A world leaves when it has no edge of exist into Z (inside,
+    shrunk with each removal) or an edge of univ out of Z. When univ is
+    exist, every world tried after the first round has such an edge."""
     candidates = base & ~release
-    inside = emask & image(into, base)
-    if universal:
-        removed = candidates & (~image(src, emask) | image(src, emask & ~inside))
-    else:
-        removed = candidates & ~image(src, inside)
+    inside = exist & image(into, base)
+    removed = candidates & ~image(src, inside)
+    if univ:
+        removed |= candidates & image(src, univ & ~inside)
     result = base
     while removed:
         result ^= removed
         leaving = image(into, removed)
-        candidates = image(src, emask & leaving) & result & ~release
-        if universal:
+        candidates = image(src, exist & leaving) & result & ~release
+        if univ == exist:
             removed = candidates
             continue
         inside &= ~leaving
         removed = candidates & ~image(src, inside)
+        if univ:
+            removed |= candidates & image(src, univ & leaving)
     return result
 
 
@@ -163,7 +173,7 @@ def label_masks(
 ) -> list[int]:
     """World-set bitmask per slot of the program over the kept structure,
     whose edges must join kept worlds; the root formula's mask is last."""
-    return must_masks(compiled, wmask, emask, emask, program)
+    return _run(compiled, wmask, emask, emask, emask, program)
 
 
 def must_masks(
@@ -180,6 +190,34 @@ def must_masks(
     connectives are monotone. So the root in the last mask means every
     completion satisfies the formula.
     """
+    return _run(compiled, wmask, emask, must, emask, program)
+
+
+def may_masks(
+    compiled: CompiledModel, wmask: int, emask: int, must: int, program: FormulaProgram
+) -> list[int]:
+    """label_masks with the A-operators' universal conditions taken over
+    the edges in must (a subset of emask): AX Z = SRC(E & IN(Z)) &
+    ~SRC(must & ~IN(Z)), and the AF, AU, AG and AR fixpoints alike.
+
+    Read (wmask, emask) and must as in must_masks. With negation on atoms
+    only, a world where a slot's formula holds in a completion lies in
+    the slot's mask: the completion is a total substructure of the
+    closure, so each of its worlds has a successor among emask, and it
+    holds every edge in must. So the root outside the last mask means no
+    completion satisfies the formula.
+    """
+    return _run(compiled, wmask, emask, emask, must, program)
+
+
+def _run(
+    compiled: CompiledModel, wmask: int, emask: int, e_edges: int, a_univ: int,
+    program: FormulaProgram,
+) -> list[int]:
+    """The labeling loop with three edge roles: E-operators take their
+    pre-images over e_edges; A-operators need an edge of emask into their
+    argument and no edge of a_univ out of it. e_edges and a_univ are
+    emask or a subset of it."""
     into, src = compiled.in_tables, compiled.src_tables
     labels = compiled.label_worlds
     masks: list[int] = []
@@ -193,21 +231,26 @@ def must_masks(
         elif op == _OR:
             result = masks[a] | masks[b]
         elif op == _EX:
-            result = image(src, must & image(into, masks[a]))
+            result = image(src, e_edges & image(into, masks[a]))
         elif op == _AX:
-            result = image(src, emask) & ~image(src, emask & ~image(into, masks[a]))
-        elif op == _EF or op == _AF:
-            edges = emask if op == _AF else must
-            result = _least(into, src, edges, wmask, masks[a], op == _AF)
-        elif op == _EU or op == _AU:
-            edges = emask if op == _AU else must
-            result = _least(into, src, edges, masks[a], masks[b], op == _AU)
-        elif op == _EG or op == _AG:
-            edges = emask if op == _AG else must
-            result = _greatest(into, src, edges, 0, masks[a], op == _AG)
-        elif op == _ER or op == _AR:
-            edges = emask if op == _AR else must
-            result = _greatest(into, src, edges, masks[a], masks[b], op == _AR)
+            entering = image(into, masks[a])
+            result = image(src, emask & entering) & ~image(src, a_univ & ~entering)
+        elif op == _EF:
+            result = _least(into, src, e_edges, 0, wmask, masks[a])
+        elif op == _AF:
+            result = _least(into, src, emask, a_univ, wmask, masks[a])
+        elif op == _EU:
+            result = _least(into, src, e_edges, 0, masks[a], masks[b])
+        elif op == _AU:
+            result = _least(into, src, emask, a_univ, masks[a], masks[b])
+        elif op == _EG:
+            result = _greatest(into, src, e_edges, 0, 0, masks[a])
+        elif op == _AG:
+            result = _greatest(into, src, emask, a_univ, 0, masks[a])
+        elif op == _ER:
+            result = _greatest(into, src, e_edges, 0, masks[a], masks[b])
+        elif op == _AR:
+            result = _greatest(into, src, emask, a_univ, masks[a], masks[b])
         elif op == _TOP:
             result = wmask
         else:

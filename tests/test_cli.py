@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from ctlenum.cli import main
+from ctlenum.enumeration import enumerate_submodels
+from ctlenum.formula import parse_formula
 from ctlenum.kripke import KripkeModel, save_model
 from ctlenum import families
 
@@ -203,6 +205,30 @@ class TestEnumerate:
         # the root's closure satisfies `true`, which has no E-operator: the
         # root settles without a must pass
         assert (stats["must_passes"], stats["settled"]) == (0, 1)
+        assert stats["may_passes"] == 0
+
+    def test_stats_count_may_passes(self, tmp_path):
+        # every closure that keeps a world's self-loop fails AF q; the may
+        # pass over its kept edges prunes the nodes that keep one
+        chain = families.chain_models(6)
+        model = KripkeModel.of(
+            [(w.id, ["q"] if w.id == "w6" else []) for w in chain.worlds],
+            chain.edges,
+            chain.root,
+        )
+        path = tmp_path / "chain.json"
+        save_model(model, str(path))
+        code, out, _ = run_cli(
+            "enumerate", "--model", str(path), "--formula", "AF q", "--stats"
+        )
+        assert code == 0
+        *lines, last = out.strip().splitlines()
+        assert len(lines) == 1
+        stats = json.loads(last)
+        session = enumerate_submodels(model, parse_formula("AF q"))
+        assert len(list(session)) == 1
+        assert stats["may_passes"] == session.stats.may_passes > 0
+        assert stats["settled"] == 0
 
     def test_brute_oracle_agrees(self, two_world_path):
         fast = run_cli("enumerate", "--model", two_world_path, "--formula", "true")[1]
@@ -233,7 +259,8 @@ class TestEnumerate:
         assert stats["solutions"] == expected
         assert len(stats["delays_ns"]) == expected + 1
         assert stats["oracle_calls"] == [0] * (expected + 1)
-        assert stats["fallback_queries"] == stats["must_passes"] == stats["settled"] == 0
+        assert stats["fallback_queries"] == stats["may_passes"] == 0
+        assert stats["must_passes"] == stats["settled"] == 0
 
     def test_include_disconnected(self, tmp_path):
         from ctlenum.kripke import KripkeModel

@@ -38,7 +38,7 @@ from ctlenum.kripke import (
     ground_set,
     is_valid_submodel,
 )
-from ctlenum.modelcheck import check, compile_formula, must_masks
+from ctlenum.modelcheck import check, compile_formula, label_masks, may_masks, must_masks
 from oracles import naive_check, reference_closure, relabeled_exists_afag
 from test_formula import formula_trees
 
@@ -202,10 +202,47 @@ class TestDeepModels:
             assert check(model, phi, solution)
 
 
+class TestAfChain:
+    """AF q on chain_models(n) with q on the last world only. Its one
+    solution is the path to the q-world with the q-world's self-loop.
+    Every closure with a self-loop before the q-world fails AF q, yet its
+    existential weakening EF q holds there, so under a keep-blind prune
+    the search doubles with each world (40,983 nodes at n = 14). The may
+    pass refutes AF q as soon as such a self-loop is kept."""
+
+    @staticmethod
+    def af_chain(n):
+        chain = families.chain_models(n)
+        last = f"w{n}"
+        return KripkeModel.of(
+            [(w.id, ["q"] if w.id == last else []) for w in chain.worlds],
+            chain.edges,
+            chain.root,
+        )
+
+    @pytest.mark.parametrize("kind", [OracleKind.AUTO, OracleKind.EXHAUSTIVE])
+    def test_stream_matches_brute_force(self, kind):
+        phi = parse_formula("AF q")
+        for n in range(2, 10):
+            model = self.af_chain(n)
+            session = enumerate_submodels(model, phi, oracle=kind)
+            got = list(session)
+            assert set(got) == brute_force_enumerate(model, phi, cap=30), n
+            assert len(got) == 1
+
+    def test_search_is_linear_in_the_chain(self):
+        phi = parse_formula("AF q")
+        for n in (*range(2, 17), 40, 120):
+            session = enumerate_submodels(self.af_chain(n), phi)
+            assert len(list(session)) == 1
+            assert sum(session.stats.oracle_calls) <= 5 * n, n
+            assert session.stats.may_passes <= 2 * n, n
+
+
 class TestDeepFormulas:
     def test_session_setup_without_recursion(self):
         # a 5,000-deep EX chain built in code (the parser still recurses):
-        # classification, weakening and compilation all walk iteratively
+        # classification and compilation walk iteratively
         model = KripkeModel.of(
             [("r", []), ("w", ["p"])], [("r", "r"), ("r", "w"), ("w", "w")], "r"
         )
@@ -452,36 +489,48 @@ class TestMustPass:
                 emask = (emask - 1) & allowed
         return found
 
+    @staticmethod
+    def random_nodes(c, connected, rng, draws):
+        """Draws random partial decisions; yields (keep_w, keep_e, del_w,
+        del_e, cl) for each whose closure cl keeps the root and every
+        keep."""
+        positions = [(1 << w, 0) for w in c.ground_worlds] + [(0, 1 << e) for e in range(c.m)]
+        for _ in range(draws):
+            keep_w = keep_e = del_w = del_e = 0
+            decide = rng.random()
+            for wbit, ebit in positions:
+                if rng.random() >= decide:
+                    continue
+                if rng.random() < 0.5:
+                    keep_w, keep_e = keep_w | wbit, keep_e | ebit
+                else:
+                    del_w, del_e = del_w | wbit, del_e | ebit
+            cl = c.closure(del_w, del_e, connected)
+            if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
+                continue
+            yield keep_w, keep_e, del_w, del_e, cl
+
+    @staticmethod
+    def completions(submodels, keep_w, keep_e, del_w, del_e):
+        for w, e in submodels:
+            if not (keep_w & ~w or keep_e & ~e or del_w & w or del_e & e):
+                yield w, e
+
     def settled_decisions(self, model, battery, rng, draws):
         """Checks draws random decisions per formula and connectivity;
         returns how many the must pass settled."""
         c = compile_model(model)
-        positions = [(1 << w, 0) for w in c.ground_worlds] + [(0, 1 << e) for e in range(c.m)]
         settled = 0
         for connected in (True, False):
             submodels = self.valid_submodels(c, connected)
             for phi in battery:
                 program = compile_formula(phi)
                 verdicts = {}
-                for _ in range(draws):
-                    keep_w = keep_e = del_w = del_e = 0
-                    decide = rng.random()
-                    for wbit, ebit in positions:
-                        if rng.random() >= decide:
-                            continue
-                        if rng.random() < 0.5:
-                            keep_w, keep_e = keep_w | wbit, keep_e | ebit
-                        else:
-                            del_w, del_e = del_w | wbit, del_e | ebit
-                    cl = c.closure(del_w, del_e, connected)
-                    if cl is None or keep_w & ~cl[0] or keep_e & ~cl[1]:
-                        continue
+                for keep_w, keep_e, del_w, del_e, cl in self.random_nodes(c, connected, rng, draws):
                     if not must_masks(c, *cl, keep_e, program)[-1] >> c.root & 1:
                         continue
                     settled += 1
-                    for w, e in submodels:
-                        if keep_w & ~w or keep_e & ~e or del_w & w or del_e & e:
-                            continue
+                    for w, e in self.completions(submodels, keep_w, keep_e, del_w, del_e):
                         if (w, e) not in verdicts:
                             sub = c.submodel(w, e)
                             verdicts[w, e] = check(model, phi, sub) and naive_check(model, phi, sub)
@@ -509,6 +558,69 @@ class TestMustPass:
                     break
         settled = sum(self.settled_decisions(model, battery, rng, 4) for model in models)
         assert settled > 300
+
+
+class TestMayPass:
+    """The may pass at random partial decisions, on the formulas of
+    TestMustPass that have an A-operator: whenever it leaves the root
+    out of phi's mask, no valid completion of the decision satisfies phi,
+    under check or under the naive path-unfolding checker; whenever it
+    puts the root in, so does phi's existential weakening labeled over
+    the closure, so the pass prunes every node the weakening prunes."""
+
+    def pruned_decisions(self, model, battery, rng, draws):
+        """Checks draws random decisions per formula and connectivity;
+        returns how many the may pass pruned and how many of those the
+        weakening kept."""
+        c = compile_model(model)
+        pruned = beyond = 0
+        for connected in (True, False):
+            submodels = TestMustPass.valid_submodels(c, connected)
+            for phi in battery:
+                program = compile_formula(phi)
+                weak = compile_formula(F.existential_weakening(phi))
+                verdicts = {}
+                nodes = TestMustPass.random_nodes(c, connected, rng, draws)
+                for keep_w, keep_e, del_w, del_e, cl in nodes:
+                    weak_holds = label_masks(c, *cl, weak)[-1] >> c.root & 1
+                    if may_masks(c, *cl, keep_e, program)[-1] >> c.root & 1:
+                        assert weak_holds, (F.render_formula(phi), model, keep_e, cl)
+                        continue
+                    pruned += 1
+                    beyond += weak_holds
+                    for w, e in TestMustPass.completions(submodels, keep_w, keep_e, del_w, del_e):
+                        if (w, e) not in verdicts:
+                            sub = c.submodel(w, e)
+                            verdicts[w, e] = check(model, phi, sub) or naive_check(model, phi, sub)
+                        assert not verdicts[w, e], (
+                            F.render_formula(phi), model, keep_w, keep_e, del_w, del_e
+                        )
+        return pruned, beyond
+
+    @staticmethod
+    def battery():
+        return [
+            phi for phi in TestMustPass.battery()
+            if F.existential_weakening(phi) is not phi
+        ]
+
+    def test_three_world_models(self):
+        rng = random.Random(4423)
+        battery = self.battery()
+        models = list(families.all_models(3, atoms=("p", "q")))[::331]
+        pruned, beyond = map(sum, zip(*(
+            self.pruned_decisions(model, battery, rng, 16) for model in models
+        )))
+        assert pruned > 4000 and beyond > 250, (pruned, beyond)
+
+    def test_random_models(self):
+        rng = random.Random(4427)
+        battery = self.battery()
+        models = [families.random_model(rng, n, atoms=("p", "q"), edge_prob=0.3) for n in (4, 5) * 4]
+        pruned, beyond = map(sum, zip(*(
+            self.pruned_decisions(model, battery, rng, 12) for model in models
+        )))
+        assert pruned > 800 and beyond > 90, (pruned, beyond)
 
 
 class TestExhaustiveExtension:
@@ -815,6 +927,14 @@ class TestLabelingEntryPoint:
 
     def test_engine_labels_through_module_attribute(self, monkeypatch):
         labelings, successor_calls = self.count_labelings(monkeypatch)
+        may_passes = []
+        may_masks = enumeration.may_masks
+
+        def counted_may(compiled, wmask, emask, must, program):
+            may_passes.append((wmask, emask, must, program))
+            return may_masks(compiled, wmask, emask, must, program)
+
+        monkeypatch.setattr(enumeration, "may_masks", counted_may)
         model = families.random_model(random.Random(3), 4, atoms=("p", "q"))
         phi = parse_formula("AG (p -> AF q)")
         session = enumerate_submodels(model, phi, oracle=OracleKind.EXHAUSTIVE)
@@ -822,10 +942,10 @@ class TestLabelingEntryPoint:
         assert solutions
         assert labelings and successor_calls == []
         assert len(set(labelings)) == len(labelings)
-        assert {key[3].formula for key in labelings} == {
-            phi,
-            F.existential_weakening(phi),
-        }
+        # a closure that fails phi gets a may pass, not a second labeling
+        assert {key[3].formula for key in labelings} == {phi}
+        assert may_passes and len(may_passes) == session.stats.may_passes
+        assert {key[3].formula for key in may_passes} == {phi}
 
     @pytest.mark.parametrize("decide", [brute_force_enumerate, exists_submodel])
     def test_reference_and_decision_label_through_module_attribute(
