@@ -58,7 +58,7 @@ from .kripke import (
     require_valid,
     structure_masks,
 )
-from .modelcheck import compile_formula, label_masks, may_masks, must_masks
+from .modelcheck import _least, compile_formula, label_masks, may_masks, must_masks
 
 
 _T = TypeVar("_T")
@@ -409,14 +409,12 @@ def _oracle_afag(
     form = ctx.trimmed
     if not (keep_w | keep_e):
         # deletions only: a satisfying submodel exists iff a connected
-        # one does, and every connected one lives inside this closure
-        if not ctx.connected:
-            cl = c.closure(del_w, del_e, connected=True)
-            if cl is None:
-                return None
-        if not _exists_afag_masks(c, *cl, form):
+        # one does, and the lasso search reads only the closure's
+        # root-reachable part, which is the connected closure
+        lasso = _afag_lasso(c, *cl, form)
+        if lasso is None:
             return None
-        stem, cycle = _lasso_masks(c, *cl, form)
+        stem, cycle = lasso
         return _walk_masks(c, stem + cycle + cycle[:1])
     if ctx.connected and form.shape == "AG":
         # AG x solutions consist of x-labeled worlds only; an unlabeled
@@ -618,54 +616,9 @@ def exists_afag(
     model: KripkeModel, form: F.TrimmedForm, sub: Submodel | None = None
 ) -> bool:
     """Does any valid connected submodel of the structure satisfy the
-    four-form formula? Decided on the structure's masks: the E-twin of the
-    form (EF x, EG x, EF EG x) at the root, and for AG AF a root-reachable
-    x-world on a cycle."""
-    return _exists_afag_masks(*structure_masks(model, sub), form)
-
-
-def _exists_afag_masks(
-    c: CompiledModel, wmask: int, emask: int, form: F.TrimmedForm
-) -> bool:
-    x = F.Atom(form.atom)
-    if form.shape == "AF":
-        phi: F.Formula = F.EF(x)
-    elif form.shape == "AG":
-        phi = F.EG(x)
-    elif form.shape == "AFAG":
-        phi = F.EF(F.EG(x))
-    else:
-        return _agaf_witness_world(c, wmask, emask, form.atom) is not None
-    return bool(label_masks(c, wmask, emask, compile_formula(phi))[-1] >> c.root & 1)
-
-
-def _agaf_witness_world(
-    c: CompiledModel, wmask: int, emask: int, atom: str
-) -> int | None:
-    """First x-world that is root-reachable and lies on a cycle: a lasso
-    through it keeps visiting x."""
-    labeled = c.label_worlds.get(atom, 0) & wmask
-    if not labeled:
-        return None
-    succ = c.successor_masks(emask)
-    root_reach = c.reach(emask, c.root)
-    for w in _bits(labeled & root_reach):
-        if succ[w] & _backward_reach(succ, wmask, w):
-            return w
-    return None
-
-
-def _backward_reach(succ: list[int], wmask: int, target: int) -> int:
-    """Worlds with a (possibly empty) path to the target world."""
-    back = 1 << target
-    changed = True
-    while changed:
-        changed = False
-        for v in _bits(wmask & ~back):
-            if succ[v] & back:
-                back |= 1 << v
-                changed = True
-    return back
+    four-form formula? Exactly when the lasso search (see
+    extract_lasso_witness) finds a lasso from the root."""
+    return _afag_lasso(*structure_masks(model, sub), form) is not None
 
 
 def _bfs_path(succ: list[int], start: int, targets: int) -> list[int] | None:
@@ -721,39 +674,50 @@ def _splice_stem(succ: list[int], root: int, cycle: list[int]) -> tuple[list[int
     return path[:-1], cycle[entry:] + cycle[:entry]
 
 
-def _lasso_masks(
+def _afag_lasso(
     c: CompiledModel, wmask: int, emask: int, form: F.TrimmedForm
-) -> tuple[list[int], list[int]]:
-    """Witness (stem, cycle) world-index walks per form; assumes the
-    existence check passed."""
-    succ = c.successor_masks(emask)
+) -> tuple[list[int], list[int]] | None:
+    """Witness (stem, cycle) world-index walks of the four-form formula
+    over the structure, or None when no lasso from the root satisfies it:
+    for AF x when no x-world is root-reachable, for AG x when the root is
+    outside EG x, for AF AG x when no root-reachable world is in EG x,
+    and for AG AF x when no root-reachable x-world lies on a cycle. Only
+    root-reachable worlds are read."""
+    root = c.root
     x_worlds = c.label_worlds.get(form.atom, 0) & wmask
     if form.shape == "AF":
         # route through a nearest x-world, then run until a repeat
-        prefix = _bfs_path(succ, c.root, x_worlds)
-        stem, cycle = _walk_to_repeat(succ, prefix, wmask)
-    elif form.shape == "AG":
-        holds_eg = label_masks(c, wmask, emask, compile_formula(F.EG(F.Atom(form.atom))))[-1]
-        stem, cycle = _walk_to_repeat(succ, [c.root], holds_eg)
-    elif form.shape == "AFAG":
-        holds_eg = label_masks(c, wmask, emask, compile_formula(F.EG(F.Atom(form.atom))))[-1]
-        reach = c.reach(emask, c.root) & holds_eg
-        start = (reach & -reach).bit_length() - 1
-        _, cycle = _walk_to_repeat(succ, [start], holds_eg)
-        stem, cycle = _splice_stem(succ, c.root, cycle)
-    else:
-        w = _agaf_witness_world(c, wmask, emask, form.atom)
-        back = _backward_reach(succ, wmask, w)
-        best: list[int] | None = None
-        for v in _bits(succ[w] & back):
-            if v == w:
-                candidate = [w]
-            else:
-                candidate = [w] + _bfs_path(succ, v, 1 << w)[:-1]
-            if best is None or len(candidate) < len(best):
-                best = candidate
-        stem, cycle = _splice_stem(succ, c.root, best)
-    return stem, cycle
+        succ = c.successor_masks(emask)
+        prefix = _bfs_path(succ, root, x_worlds)
+        if prefix is None:
+            return None
+        return _walk_to_repeat(succ, prefix, wmask)
+    if form.shape == "AGAF":
+        # the shortest cycle through the first root-reachable x-world on one
+        if not x_worlds:
+            return None
+        succ = c.successor_masks(emask)
+        for w in _bits(x_worlds & c.reach(emask, root)):
+            back = _least(c.in_tables, c.src_tables, emask, 0, wmask, 1 << w)
+            cycles = [
+                [w] if v == w else [w] + _bfs_path(succ, v, 1 << w)[:-1]
+                for v in _bits(succ[w] & back)
+            ]
+            if cycles:
+                return _splice_stem(succ, root, min(cycles, key=len))
+        return None
+    holds_eg = label_masks(c, wmask, emask, compile_formula(F.EG(F.Atom(form.atom))))[-1]
+    if form.shape == "AG":
+        if not holds_eg >> root & 1:
+            return None
+        return _walk_to_repeat(c.successor_masks(emask), [root], holds_eg)
+    reach = c.reach(emask, root) & holds_eg
+    if not reach:
+        return None
+    succ = c.successor_masks(emask)
+    start = (reach & -reach).bit_length() - 1
+    _, cycle = _walk_to_repeat(succ, [start], holds_eg)
+    return _splice_stem(succ, root, cycle)
 
 
 def _walk_masks(c: CompiledModel, walk: list[int]) -> tuple[int, int]:
@@ -770,11 +734,16 @@ def extract_lasso_witness(
 ) -> Lasso | None:
     """A lasso whose induced submodel satisfies the four-form formula,
     or None when no submodel of the structure (the model, or sub within
-    it) can."""
+    it) can. One search decides and builds the witness: AF x routes
+    through a nearest x-world, AG x walks inside EG x from the root,
+    AF AG x cycles inside EG x from the first root-reachable world there,
+    and AG AF x takes a shortest cycle through the first root-reachable
+    x-world that lies on one."""
     c, wmask, emask = structure_masks(model, sub)
-    if not _exists_afag_masks(c, wmask, emask, form):
+    lasso = _afag_lasso(c, wmask, emask, form)
+    if lasso is None:
         return None
-    stem, cycle = _lasso_masks(c, wmask, emask, form)
+    stem, cycle = lasso
     return Lasso(
         stem=tuple(c.ids[i] for i in stem),
         cycle=tuple(c.ids[i] for i in cycle),

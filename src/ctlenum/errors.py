@@ -57,7 +57,3 @@ class CapExceeded(CtlEnumError):
 
 class PartialAssignment(CtlEnumError):
     """Assignment does not cover every variable."""
-
-
-class NoWitness(CtlEnumError):
-    """No lasso witness exists for the requested form."""

@@ -512,57 +512,6 @@ def duality_equivalents(phi: Formula) -> list[Formula]:
     return []
 
 
-_E_TWIN = {AX: EX, AF: EF, AG: EG, AU: EU, AR: ER}
-
-
-def existential_weakening(phi: Formula) -> Formula | None:
-    """phi with every A-operator replaced by its E-twin, or None when a
-    negation sits above anything but an atom.
-
-    On total structures each A-operator implies its E-twin, and with
-    negation on atoms only every connective and operator is monotone, so
-    phi implies its weakening. The weakening is existential with negation
-    on atoms only, so it survives adding worlds and edges: a structure
-    that fails it has no submodel that satisfies phi.
-
-    Rebuilt bottom-up with an explicit stack; a node whose weakening
-    equals it is returned itself, so phi comes back unchanged (the same
-    object) when it has no A-operator.
-    """
-    weakened: dict[int, Formula] = {}  # id of a node -> its weakening
-    stack: list[tuple[Formula, bool]] = [(phi, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = id(node)
-        if key in weakened:  # a shared node, reached twice
-            continue
-        if not expanded:
-            if isinstance(node, Not):
-                if not isinstance(node.child, Atom):
-                    # every ancestor of a None is None
-                    return None
-                weakened[key] = node
-                continue
-            children = _children(node)
-            if not children:
-                weakened[key] = node
-                continue
-            stack.append((node, True))
-            stack.extend((child, False) for child in children)
-            continue
-        kind = type(node)
-        twin = _E_TWIN.get(kind, kind)
-        if isinstance(node, Unary):
-            child = weakened[id(node.child)]
-            unchanged = child is node.child
-            weakened[key] = node if twin is kind and unchanged else twin(child)
-        else:
-            left, right = weakened[id(node.left)], weakened[id(node.right)]
-            unchanged = left is node.left and right is node.right
-            weakened[key] = node if twin is kind and unchanged else twin(left, right)
-    return weakened[id(phi)]
-
-
 def dualize_step(phi: Formula) -> Formula:
     """Rewrite the root operator via its first listed equivalence."""
     equivalents = duality_equivalents(phi)

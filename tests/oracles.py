@@ -390,3 +390,55 @@ def reference_weakening(phi: F.Formula) -> F.Formula | None:
     left = reference_weakening(phi.left)
     right = reference_weakening(phi.right)
     return None if left is None or right is None else kind(left, right)
+
+
+_E_TWIN = {F.AX: F.EX, F.AF: F.EF, F.AG: F.EG, F.AU: F.EU, F.AR: F.ER}
+
+
+def existential_weakening(phi: F.Formula) -> F.Formula | None:
+    """phi with every A-operator replaced by its E-twin, or None when a
+    negation sits above anything but an atom.
+
+    On total structures each A-operator implies its E-twin, and with
+    negation on atoms only every connective and operator is monotone, so
+    phi implies its weakening. The weakening is existential with negation
+    on atoms only, so it survives adding worlds and edges: a structure
+    that fails it has no submodel that satisfies phi.
+
+    Rebuilt bottom-up with an explicit stack; a node whose weakening
+    equals it is returned itself, so phi comes back unchanged (the same
+    object) when it has no A-operator. TestMayPass measures the may pass
+    against the prune this weakening gives.
+    """
+    weakened: dict[int, F.Formula] = {}  # id of a node -> its weakening
+    stack: list[tuple[F.Formula, bool]] = [(phi, False)]
+    while stack:
+        node, expanded = stack.pop()
+        key = id(node)
+        if key in weakened:  # a shared node, reached twice
+            continue
+        if not expanded:
+            if isinstance(node, F.Not):
+                if not isinstance(node.child, F.Atom):
+                    # every ancestor of a None is None
+                    return None
+                weakened[key] = node
+                continue
+            children = F._children(node)
+            if not children:
+                weakened[key] = node
+                continue
+            stack.append((node, True))
+            stack.extend((child, False) for child in children)
+            continue
+        kind = type(node)
+        twin = _E_TWIN.get(kind, kind)
+        if isinstance(node, F.Unary):
+            child = weakened[id(node.child)]
+            unchanged = child is node.child
+            weakened[key] = node if twin is kind and unchanged else twin(child)
+        else:
+            left, right = weakened[id(node.left)], weakened[id(node.right)]
+            unchanged = left is node.left and right is node.right
+            weakened[key] = node if twin is kind and unchanged else twin(left, right)
+    return weakened[id(phi)]

@@ -39,7 +39,12 @@ from ctlenum.kripke import (
     is_valid_submodel,
 )
 from ctlenum.modelcheck import check, compile_formula, label_masks, may_masks, must_masks
-from oracles import naive_check, reference_closure, relabeled_exists_afag
+from oracles import (
+    existential_weakening,
+    naive_check,
+    reference_closure,
+    relabeled_exists_afag,
+)
 from test_formula import formula_trees
 
 
@@ -463,7 +468,7 @@ class TestMustPass:
         parsed = [parse_formula(text) for text in TestMustPass.TEXTS]
         return [
             phi for phi in small + chains + parsed
-            if F.existential_weakening(phi) is not None
+            if existential_weakening(phi) is not None
         ]
 
     @staticmethod
@@ -578,7 +583,7 @@ class TestMayPass:
             submodels = TestMustPass.valid_submodels(c, connected)
             for phi in battery:
                 program = compile_formula(phi)
-                weak = compile_formula(F.existential_weakening(phi))
+                weak = compile_formula(existential_weakening(phi))
                 verdicts = {}
                 nodes = TestMustPass.random_nodes(c, connected, rng, draws)
                 for keep_w, keep_e, del_w, del_e, cl in nodes:
@@ -601,7 +606,7 @@ class TestMayPass:
     def battery():
         return [
             phi for phi in TestMustPass.battery()
-            if F.existential_weakening(phi) is not phi
+            if existential_weakening(phi) is not phi
         ]
 
     def test_three_world_models(self):
@@ -660,13 +665,13 @@ class TestExhaustiveExtension:
         }
         for text, model in guarded.items():
             phi = parse_formula(text)
-            assert F.existential_weakening(phi) is None
+            assert existential_weakening(phi) is None
             assert not check(model, phi)
             assert exists_submodel(model, phi)
         chain = parse_formula(
             "A[A[A[true R z] R y] R x1] & A[A[true U x_t] U !x1]"
         )
-        assert F.existential_weakening(chain) == parse_formula(
+        assert existential_weakening(chain) == parse_formula(
             "E[E[E[true R z] R y] R x1] & E[E[true U x_t] U !x1]"
         )
 
@@ -844,6 +849,15 @@ class TestExistsAfag:
                 assert exists_afag(model, form, sub) == relabeled_exists_afag(
                     model, form, sub
                 ), (form, model, sub)
+                # one search decides and builds the witness
+                for structure in (None, sub):
+                    lasso = extract_lasso_witness(model, form, structure)
+                    assert exists_afag(model, form, structure) == (lasso is not None)
+                    if lasso is not None:
+                        induced = lasso.induced_submodel()
+                        assert naive_check(model, form.to_formula(), induced), (
+                            form, model, structure, lasso,
+                        )
 
     def test_foreign_sub_rejected(self, revisit_example):
         form = afag_trim(parse_formula("AG AF x"))
@@ -993,6 +1007,36 @@ class TestOneWalk:
                     assert len(set(keys)) == len(keys), (text, seed)
                     closed += len(keys)
         assert closed > 1000
+
+
+class TestDisconnectedAfag:
+    def test_one_closure_per_session(self, monkeypatch):
+        # a keep-free node's lasso search reads only the root-reachable
+        # part of its closure, which is the connected closure: no second
+        # closure is computed for it
+        calls = []
+        closure = CompiledModel.closure
+
+        def counted(self, del_worlds, del_edges, connected):
+            calls.append((del_worlds, del_edges, connected))
+            return closure(self, del_worlds, del_edges, connected)
+
+        monkeypatch.setattr(CompiledModel, "closure", counted)
+        rng = random.Random(15)
+        models = [families.random_model(rng, n, atoms=("x",), edge_prob=0.3) for n in (4, 5) * 3]
+        for model in models:
+            for chain in ("AF x", "AG x", "AF AG x", "AG AF x"):
+                phi = parse_formula(chain)
+                calls.clear()
+                session = enumerate_submodels(
+                    model, phi, oracle=OracleKind.AFAG, connected=False
+                )
+                got = list(session)
+                assert calls == [(0, 0, False)], (chain, model)
+                assert len(set(got)) == len(got)
+                assert set(got) == brute_force_enumerate(model, phi, connected=False), (
+                    chain, model,
+                )
 
 
 class TestRetainedMemory:
