@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 command evaluated (whatever the answer) or output pipe
-closed by the reader, 2 parse or validation error or input nested too
-deeply, 3 oracle/fragment mismatch, 4 trim inapplicable.
+closed by the reader, 2 parse or validation error, input file not UTF-8
+text or input nested too deeply, 3 oracle/fragment mismatch, 4 trim
+inapplicable.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input file is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except (FormulaSyntaxError, ModelFormatError, InvalidModelError, NotNNF) as exc:
         print(f"error: {exc}", file=sys.stderr)

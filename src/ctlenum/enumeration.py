@@ -24,16 +24,16 @@ that hands keep-committed queries on AF-containing forms to the closure
 test, a counted fallback. The walk is one explicit-stack loop, so it
 never recurses once per ground-set position.
 
-With negation on atoms only, the node's kept edges make two passes of
-the labeling loop over its closure sharper than a plain labeling. The
-may pass (modelcheck.may_masks) takes the A-operators' universal
-conditions over the kept edges only: every completion is a total
-substructure of the closure that holds them, so the root outside phi's
-may mask prunes a node whose closure fails phi. The must pass
-(modelcheck.must_masks) takes the E-operators' pre-images over the kept
-edges only: a witness node whose must pass holds at the root is
-settled, since every completion satisfies phi, so below it each node's
-closure is its witness and no node test runs.
+Every session compiles phi in negation normal form, so the node's kept
+edges make two passes of the labeling loop over its closure sharper than
+a plain labeling. The may pass (modelcheck.may_masks) takes the
+A-operators' universal conditions over the kept edges only: every
+completion is a total substructure of the closure that holds them, so
+the root outside phi's may mask prunes a node whose closure fails phi.
+The must pass (modelcheck.must_masks) takes the E-operators' pre-images
+over the kept edges only: a witness node whose must pass holds at the
+root is settled, since every completion satisfies phi, so below it each
+node's closure is its witness and no node test runs.
 """
 
 from __future__ import annotations
@@ -160,8 +160,8 @@ _A_OPERATORS = (F.AX, F.AF, F.AG, F.AU, F.AR)
 
 
 class _Context:
-    """Per-run search state: compiled model, fragment, formula programs
-    and the search-node counter."""
+    """Per-run search state: compiled model, fragment, the program of
+    phi in negation normal form and the search-node counter."""
 
     def __init__(
         self,
@@ -179,12 +179,13 @@ class _Context:
             self.trimmed = F.afag_trim(phi)
         self.fallback_queries = 0
         self.nodes = 0
+        nodes = compile_formula(phi).nodes
+        # the may and must passes need negation on atoms only; a formula
+        # that has it already skips the rewrite
+        if any(isinstance(node, F.Not) and not isinstance(node.child, F.Atom) for node in nodes):
+            phi = F.negation_normal_form(phi)
         self.program = compile_formula(phi)
         nodes = self.program.nodes
-        # negation on atoms only: the may and must passes are sound
-        self.nnf = not any(
-            isinstance(node, F.Not) and not isinstance(node.child, F.Atom) for node in nodes
-        )
         self.existential = any(isinstance(node, _E_OPERATORS) for node in nodes)
         self.universal = any(isinstance(node, _A_OPERATORS) for node in nodes)
         self.may_passes = 0
@@ -299,8 +300,6 @@ def _walk(
     total = len(ctx.positions)
     all_worlds, all_edges = ctx.compiled.all_worlds, ctx.compiled.all_edges
     delete_first = ctx.delete_first
-    # with negation on atoms only, a must pass can settle a subtree
-    may_settle = not first and ctx.nnf
     witness: _Masks | None = None
     pos, cl, mode = 0, None, None
     stack: list[tuple[int, int, int, int, int, _Masks, object]] = []
@@ -329,7 +328,7 @@ def _walk(
                 return
             else:
                 witness = found
-                if mode is None and may_settle and _settles(ctx, keep_e, cl, found):
+                if mode is None and _settles(ctx, keep_e, cl, found):
                     mode = _SETTLED
         if cl is not None:
             pos, keep_w, keep_e, del_w, del_e, wbit, ebit, deletable = _branch(
@@ -380,20 +379,17 @@ def _closure_test(
     """The exhaustive and monotone node test on the node's closure.
 
     The closure is itself a reachable completion, so satisfaction there
-    makes it the witness. Otherwise, with negation on atoms only, the
-    node is pruned when phi has no A-operator (every completion is a
-    submodel of the closure, and such phi survives adding worlds and
-    edges) or when the may pass (modelcheck.may_masks) over the closure
-    and the kept edges leaves the root out of phi's mask; the answer is
-    _EXPLORE when it does not, and whenever a negation sits above
-    anything but an atom. On the monotone fragment the test never
-    explores.
+    makes it the witness. Otherwise the node is pruned when the
+    session's program (phi in negation normal form) has no A-operator
+    (every completion is a submodel of the closure, and such a formula
+    survives adding worlds and edges) or when the may pass
+    (modelcheck.may_masks) over the closure and the kept edges leaves
+    the root out of phi's mask; the answer is _EXPLORE when it does not.
+    On the monotone fragment the test never explores.
     """
     c = ctx.compiled
     if label_masks(c, *cl, ctx.program)[-1] & ctx.root_bit:
         return cl
-    if not ctx.nnf:
-        return _EXPLORE
     if not ctx.universal:
         return None
     ctx.may_passes += 1

@@ -522,6 +522,48 @@ def dualize_step(phi: Formula) -> Formula:
     return equivalents[0]
 
 
+# --- negation normal form ---------------------------------------------------
+
+# each kind and its dual under negation: !K(a, b) = dual(K)(!a, !b); the
+# temporal pairs need every world to have a successor, as in any valid
+# submodel
+_NEGATION_DUAL: dict[type, type] = {}
+for _a, _b in ((Top, Bottom), (And, Or), (EX, AX), (EF, AG), (AF, EG), (EU, AR), (AU, ER)):
+    _NEGATION_DUAL[_a], _NEGATION_DUAL[_b] = _b, _a
+
+
+def negation_normal_form(phi: Formula) -> Formula:
+    """phi with every negation pushed onto an atom by the duality table;
+    equivalent to phi on total structures. Walks an explicit stack of
+    (subformula, polarity) keys and builds at most one node per key, so
+    depth costs no recursion and shared subformulas stay shared."""
+    done: dict[tuple[Formula, bool], Formula] = {}
+    stack = [(phi, True)]
+    while stack:
+        key = stack[-1]
+        if key in done:  # stacked by two parents
+            stack.pop()
+            continue
+        node, positive = key
+        if isinstance(node, Not):
+            parts = [(node.child, not positive)]
+        else:
+            parts = [(child, positive) for child in _children(node)]
+        missing = [part for part in parts if part not in done]
+        if missing:
+            stack.extend(missing)
+            continue
+        stack.pop()
+        if isinstance(node, Not):
+            done[key] = done[parts[0]]
+        elif isinstance(node, Atom):
+            done[key] = node if positive else Not(node)
+        else:
+            kind = type(node) if positive else _NEGATION_DUAL[type(node)]
+            done[key] = kind(*(done[part] for part in parts))
+    return done[(phi, True)]
+
+
 # --- AF/AG chain trimming ---------------------------------------------------
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ctlenum.cli import main
-from ctlenum.enumeration import enumerate_submodels
+from ctlenum.enumeration import OracleKind, enumerate_submodels
 from ctlenum.formula import parse_formula
 from ctlenum.kripke import KripkeModel, save_model
 from ctlenum import families
@@ -111,6 +111,20 @@ class TestCheck:
             assert (code, out) == (2, "")
             assert err.startswith("error: bad world entry")
 
+    def test_not_utf8_input(self, two_world_path, tmp_path):
+        # a UTF-16 byte-order mark is not UTF-8: a parse error, no traceback
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "true".encode("utf-16-le"))
+        for argv in (
+            ("check", "--model", str(path), "--formula", "true"),
+            ("check", "--model", two_world_path, "--formula-file", str(path)),
+            ("reduce", "hampath-af", "--digraph", str(path), "--out", str(tmp_path / "out")),
+        ):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+            assert "Traceback" not in err
+
     def test_formula_file(self, two_world_path, tmp_path):
         formula_path = tmp_path / "phi.txt"
         formula_path.write_text("true\n")
@@ -179,17 +193,23 @@ class TestEnumerate:
             f"of at least 1, not '{limit}'"
         ]
 
-    def test_oracle_mismatch_exit_code(self, two_world_path):
-        code, _, _ = run_cli(
-            "enumerate",
-            "--model",
-            two_world_path,
-            "--formula",
-            "AG x",
-            "--oracle",
-            "monotone",
-        )
-        assert code == 3
+    def test_oracle_mismatch_exit_code(self, two_world_model, two_world_path):
+        # the oracle is chosen by the formula as written, not by its
+        # negation normal form: !AG !x is EF x and !EF !x is AG x
+        for text, oracle in (("AG x", "monotone"), ("!AG !x", "monotone"), ("!EF !x", "afag")):
+            code, _, _ = run_cli(
+                "enumerate",
+                "--model",
+                two_world_path,
+                "--formula",
+                text,
+                "--oracle",
+                oracle,
+            )
+            assert code == 3
+        for text in ("!AG !x", "!EF !x"):
+            session = enumerate_submodels(two_world_model, parse_formula(text))
+            assert session.oracle_kind is OracleKind.EXHAUSTIVE
 
     def test_stats_appended(self, two_world_path):
         code, out, _ = run_cli(

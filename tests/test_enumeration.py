@@ -45,7 +45,7 @@ from oracles import (
     reference_closure,
     relabeled_exists_afag,
 )
-from test_formula import formula_trees
+from test_formula import formula_trees, negation_on_atoms_only
 
 
 def decision_for(model, commitments):
@@ -626,6 +626,84 @@ class TestMayPass:
             self.pruned_decisions(model, battery, rng, 12) for model in models
         )))
         assert pruned > 800 and beyond > 90, (pruned, beyond)
+
+
+def negated_operator_battery():
+    """The formulas among the first 300 by size with a negation above an
+    operator or a constant: 42 of them."""
+    return [
+        phi for phi in families.formulas_by_size(("p", "q"), 300)
+        if not negation_on_atoms_only(phi)
+    ]
+
+
+class TestNegationNormalSessions:
+    """A session compiles phi in negation normal form: formulas with a
+    negation above an operator get the may and must passes too, and
+    their streams and decisions still equal brute force."""
+
+    @staticmethod
+    def models():
+        rng = random.Random(5147)
+        models = list(families.all_models(3, atoms=("p", "q")))[::331]
+        while len(models) < 30:
+            model = families.random_model(rng, rng.randint(4, 5), ("p", "q"), edge_prob=0.3)
+            if len(ground_set(model)) <= 14:
+                models.append(model)
+        return models
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_streams_and_decisions_match_brute_force(self, connected):
+        rng = random.Random(5153)
+        battery = negated_operator_battery()
+        assert len(battery) == 42
+        for model in self.models():
+            size = len(ground_set(model))
+            for phi in battery:
+                expected = sorted(
+                    brute_force_enumerate(model, phi, connected=connected),
+                    key=lambda sub: decision_key(model, sub),
+                )
+                got = enumerate_submodels(model, phi, connected=connected)
+                assert list(got) == expected, (F.render_formula(phi), model)
+                if connected:
+                    assert exists_submodel(model, phi) == bool(expected)
+                keys = [decision_key(model, sub) for sub in expected]
+                vector = [rng.randrange(2) for _ in range(size)]
+                k = rng.randrange(size + 1)
+                states = tuple((KEEP, DELETE)[bit] for bit in vector[:k])
+                query = ExtensionQuery(
+                    model, phi, PartialDecision(states + (UNDECIDED,) * (size - k)), connected
+                )
+                want = any(key[:k] == tuple(vector[:k]) for key in keys)
+                assert extend_exhaustive(query) == want, (F.render_formula(phi), states, model)
+
+    def test_passes_run_below_negations(self):
+        model = KripkeModel.of(
+            [("w0", ["p"]), ("w1", ["q"]), ("w2", []), ("w3", ["p", "q"])],
+            [("w0", "w1"), ("w0", "w2"), ("w1", "w1"), ("w1", "w3"), ("w2", "w0"),
+             ("w2", "w3"), ("w3", "w2"), ("w3", "w3")],
+            "w0",
+        )
+        may = must = 0
+        for phi in negated_operator_battery():
+            for connected in (True, False):
+                session = enumerate_submodels(model, phi, connected=connected)
+                assert set(session) == brute_force_enumerate(model, phi, connected=connected)
+                may += session.stats.may_passes
+                must += session.stats.must_passes
+        assert may > 0 and must > 0, (may, must)
+
+    def test_deep_negated_chain(self):
+        # !AF !EX, 20,000 times over, built in code: its negation normal
+        # form EG EX ... p is built and labeled without recursion
+        phi: F.Formula = F.Atom("p")
+        for _ in range(20000):
+            phi = F.Not(F.AF(F.Not(F.EX(phi))))
+        model = families.chain_models(3)
+        session = enumerate_submodels(model, phi)
+        assert set(session) == brute_force_enumerate(model, phi)
+        assert session.stats.solutions > 0
 
 
 class TestExhaustiveExtension:

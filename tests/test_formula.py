@@ -19,8 +19,10 @@ from ctlenum.formula import (
     render_formula,
     substitute_atoms,
 )
+from ctlenum.modelcheck import check, compile_formula
 from oracles import (
     existential_weakening,
+    naive_check,
     reference_classify,
     reference_subformulas,
     reference_weakening,
@@ -222,6 +224,78 @@ class TestDualize:
             dualize_step(F.And(F.Atom("p"), F.Atom("q")))
         with pytest.raises(RewriteNotApplicable):
             dualize_step(F.AX(F.Atom("p")))
+
+
+def negation_on_atoms_only(phi):
+    return all(
+        not isinstance(node, F.Not) or isinstance(node.child, F.Atom)
+        for node in F.subformulas(phi)
+    )
+
+
+class TestNegationNormalForm:
+    def test_duality_table(self):
+        cases = {
+            "!EF !p": "AG p",
+            "!AG !p": "EF p",
+            "!AF !p": "EG p",
+            "!EG (p & !q)": "AF (!p | q)",
+            "!EX !p": "AX p",
+            "!AX p": "EX !p",
+            "!E[p U !q]": "A[!p R q]",
+            "!A[p U q]": "E[!p R !q]",
+            "!E[p R q]": "A[!p U !q]",
+            "!A[!p R q]": "E[p U !q]",
+            "!!p": "p",
+            "!true | !false": "false | true",
+            "!(p -> AF q)": "p & EG !q",
+        }
+        for text, want in cases.items():
+            assert F.negation_normal_form(parse_formula(text)) == parse_formula(want), text
+
+    def test_agrees_with_both_checkers(self):
+        # every formula against the labeler on its negation normal form
+        # and the path-unfolding checker on the formula as written
+        formulas = families.formulas_by_size(("p", "q"), 300, constants=True)
+        normal = [F.negation_normal_form(phi) for phi in formulas]
+        for model in list(families.all_models(3, ("p", "q")))[::49]:
+            for phi, psi in zip(formulas, normal):
+                assert check(model, phi) == check(model, psi) == naive_check(model, phi), (
+                    render_formula(phi), model
+                )
+
+    def test_shape_and_size(self):
+        rewritten = 0
+        for phi in families.formulas_by_size(("p", "q"), 300, constants=True):
+            psi = F.negation_normal_form(phi)
+            assert negation_on_atoms_only(psi)
+            if negation_on_atoms_only(phi):
+                assert psi == phi
+            else:
+                rewritten += 1
+            assert len(compile_formula(psi).nodes) <= 2 * len(compile_formula(phi).nodes)
+        assert rewritten == 42
+
+    def test_shared_subformulas_stay_shared(self):
+        # one node per (subformula, polarity): 40 levels, each using its
+        # child twice, rewrite without unfolding into 2**40 paths
+        phi: F.Formula = F.Atom("p")
+        for _ in range(40):
+            phi = F.Not(F.And(F.EX(phi), F.AX(phi)))
+        psi = F.negation_normal_form(phi)
+        assert len(compile_formula(phi).nodes) == 4 * 40 + 1
+        assert len(compile_formula(psi).nodes) <= 2 * (4 * 40 + 1)
+
+    def test_deep_chain_without_recursion(self):
+        depth = 20000
+        phi: F.Formula = F.Atom("p")
+        for _ in range(depth):
+            phi = F.Not(F.AF(F.Not(F.EX(phi))))
+        node = F.negation_normal_form(phi)
+        for _ in range(depth):
+            assert type(node) is F.EG and type(node.child) is F.EX
+            node = node.child.child
+        assert node == F.Atom("p")
 
 
 class TestTrim:
