@@ -290,69 +290,74 @@ class _Parser:
         )
 
     def formula(self) -> Formula:
-        # a -> b -> c is a -> (b -> c): fold from the right, in a loop
-        operands = [self.disj()]
-        while self.peek().kind == "->":
-            self.advance()
-            operands.append(self.disj())
-        node = operands.pop()
-        while operands:
-            node = Or(Not(operands.pop()), node)
-        return node
+        """Read the grammar of the module docstring in one loop. Each '('
+        or 'A['/'E[' saves the enclosing formula's state on an explicit
+        stack, so nesting depth costs no recursion.
 
-    def disj(self) -> Formula:
-        node = self.conj()
-        while self.peek().kind == "|":
+        The state of the formula being read: closer (what ends it: "end",
+        ')', the quantifier before its 'U'/'R', or the operator name
+        before its ']'), left (a binary temporal's left operand), the
+        '->' operands so far, the open | and & runs, and the prefix of
+        the unary being read.
+        """
+        stack = []
+        closer, left, implies, disj, conj, prefix = "end", None, [], None, None, []
+        while True:
+            while self.peek().kind in _PREFIX:
+                prefix.append(_PREFIX[self.advance().kind])
+            tok = self.peek()
+            if tok.kind in ("(", "A", "E"):
+                self.advance()
+                if tok.kind != "(":
+                    self.expect("[", "'['")
+                stack.append((closer, left, implies, disj, conj, prefix))
+                closer, left, implies, disj, conj, prefix = (
+                    ")" if tok.kind == "(" else tok.kind, None, [], None, None, []
+                )
+                continue
+            if tok.kind == "true":
+                node = Top()
+            elif tok.kind == "false":
+                node = Bottom()
+            elif tok.kind == "atom":
+                node = Atom(tok.text)
+            else:
+                self.fail("a formula")
             self.advance()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Formula:
-        node = self.unary()
-        while self.peek().kind == "&":
+            # node ends a unary; close every formula that ends with it
+            while True:
+                while prefix:
+                    node = prefix.pop()(node)
+                conj = node if conj is None else And(conj, node)
+                kind = self.peek().kind
+                if kind == "&":
+                    break
+                disj = conj if disj is None else Or(disj, conj)
+                conj = None
+                if kind == "|":
+                    break
+                implies.append(disj)
+                disj = None
+                if kind == "->":
+                    break
+                node = implies.pop()
+                while implies:
+                    node = Or(Not(implies.pop()), node)
+                if closer == "end":
+                    return node
+                if closer in ("A", "E"):
+                    if kind not in ("U", "R"):
+                        self.fail("'U' or 'R'")
+                    closer, left = closer + kind, node
+                    break
+                if closer == ")":
+                    self.expect(")", "')'")
+                else:
+                    self.expect("]", "']'")
+                    node = BINARY_TEMPORAL[closer](left, node)
+                closer, left, implies, disj, conj, prefix = stack.pop()
+            # step over the '&', '|', '->', 'U' or 'R' that goes on
             self.advance()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
-        # read the whole prefix, then apply it innermost first
-        prefix = []
-        while self.peek().kind in _PREFIX:
-            prefix.append(_PREFIX[self.advance().kind])
-        node = self.primary()
-        while prefix:
-            node = prefix.pop()(node)
-        return node
-
-    def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "true":
-            self.advance()
-            return Top()
-        if tok.kind == "false":
-            self.advance()
-            return Bottom()
-        if tok.kind == "atom":
-            self.advance()
-            return Atom(tok.text)
-        if tok.kind == "(":
-            self.advance()
-            node = self.formula()
-            self.expect(")", "')'")
-            return node
-        if tok.kind in ("A", "E"):
-            quantifier = tok.kind
-            self.advance()
-            self.expect("[", "'['")
-            left = self.formula()
-            op_tok = self.peek()
-            if op_tok.kind not in ("U", "R"):
-                self.fail("'U' or 'R'")
-            self.advance()
-            right = self.formula()
-            self.expect("]", "']'")
-            return BINARY_TEMPORAL[quantifier + op_tok.kind](left, right)
-        self.fail("a formula")
 
 
 def parse_formula(text: str) -> Formula:

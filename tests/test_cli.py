@@ -79,12 +79,28 @@ class TestCheck:
         assert code == 2
         assert "expected" in err
 
-    def test_formula_nested_too_deeply(self, two_world_path):
-        # parentheses still nest by recursion; prefix and implication
-        # chains parse in a loop (TestEnumerate::test_deep_formula_chains)
+    def test_formula_nested_deeply(self, two_world_path):
+        # parentheses and A[..] nest on the parser's own stack, as prefix
+        # and implication chains do (TestEnumerate::test_deep_formula_chains)
+        for text, shallow in (
+            ("(" * 3000 + "p" + ")" * 3000, "p"),
+            ("A[" * 2000 + "p" + " U q]" * 2000, "A[p U q]"),
+        ):
+            code, out, err = run_cli("check", "--model", two_world_path, "--formula", text)
+            assert (code, err) == (0, "")
+            assert out == run_cli("check", "--model", two_world_path, "--formula", shallow)[1]
         code, out, err = run_cli(
-            "check", "--model", two_world_path, "--formula", "(" * 3000 + "p" + ")" * 3000
+            "check", "--model", two_world_path, "--formula", "(" * 3000 + "p" + ")" * 2999
         )
+        assert (code, out) == (2, "")
+        assert err == "error: 1:6001: expected ')', found end of input\n"
+
+    def test_model_nested_too_deeply(self, tmp_path):
+        # JSON decoding still recurses: a model nested past the limit is
+        # refused with exit code 2
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli("check", "--model", str(path), "--formula", "true")
         assert (code, out) == (2, "")
         assert err == "error: input nested too deeply\n"
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import tracemalloc
 
@@ -39,6 +40,14 @@ from ctlenum.kripke import (
     is_valid_submodel,
 )
 from ctlenum.modelcheck import check, compile_formula, label_masks, may_masks, must_masks
+from ctlenum.reductions import (
+    HampathInstance,
+    brute_hampath,
+    hampath_to_af,
+    hampath_to_ar,
+    hampath_to_au,
+    hampath_to_ax,
+)
 from oracles import (
     existential_weakening,
     naive_check,
@@ -895,6 +904,181 @@ class TestExistence:
             for phi in battery:
                 first = list(enumerate_submodels(model, phi, limit=1))
                 assert exists_submodel(model, phi) == (len(first) == 1)
+
+
+class TestDecisionOrder:
+    """Decisions walk root-outward and delete-first; enumeration walks
+    the ground-set order. Extension queries give their decision vectors
+    in ground-set order, so verdicts must equal brute force on models
+    whose root-outward order is not their ground-set order."""
+
+    @staticmethod
+    def rerooted_models():
+        """Random models with the root declared last, some with worlds the
+        root does not reach: BFS from the root meets the worlds out of
+        declaration order."""
+        rng = random.Random(6113)
+        models = []
+        while len(models) < 10:
+            model = families.random_model(
+                rng, rng.randint(3, 5), ("p", "q"), edge_prob=0.35, connected=rng.random() < 0.7
+            )
+            model = KripkeModel.of(
+                [(w.id, sorted(w.labels)) for w in reversed(model.worlds)], model.edges, model.root
+            )
+            if len(ground_set(model)) <= 13:
+                models.append(model)
+        return models
+
+    @staticmethod
+    def check_decisions(model, phi, rng, connectivities=(True, False), cap=20):
+        """exists_submodel and every admissible extend_* against brute force,
+        on random prefixes given in ground-set order."""
+        extend = [extend_exhaustive]
+        profile = F.classify_fragment(phi)
+        if profile.monotone_existential:
+            extend.append(extend_monotone)
+        if profile.afag_chain and not isinstance(phi, F.Atom):
+            extend.append(extend_afag)
+        size = len(ground_set(model))
+        for connected in connectivities:
+            solutions = brute_force_enumerate(model, phi, connected=connected, cap=cap)
+            keys = sorted(decision_key(model, sub) for sub in solutions)
+            if connected:
+                assert exists_submodel(model, phi) == bool(keys), (F.render_formula(phi), model)
+            for k in (0, rng.randrange(size + 1), rng.randrange(size + 1), size):
+                if k == size and keys and rng.random() < 0.5:
+                    vector = rng.choice(keys)
+                else:
+                    vector = tuple(rng.randrange(2) for _ in range(k))
+                states = tuple((KEEP, DELETE)[bit] for bit in vector)
+                query = ExtensionQuery(
+                    model, phi, PartialDecision(states + (UNDECIDED,) * (size - k)), connected
+                )
+                want = any(key[:k] == vector for key in keys)
+                for decide in extend:
+                    assert decide(query) == want, (
+                        decide.__name__, F.render_formula(phi), states, connected, model
+                    )
+
+    @staticmethod
+    def orders_differ(model, connected=True):
+        """The decision layout is a reordering of the enumeration layout
+        that carries each edge's delete rules along, and not the same order."""
+        c = compile_model(model)
+        ground = enumeration._layout(c, connected, decision=False)
+        decision = enumeration._layout(c, connected, decision=True)
+        assert sorted(zip(*decision), key=repr) == sorted(zip(*ground), key=repr)
+        return decision[0] != ground[0]
+
+    def test_root_outward_layout(self):
+        # root w2 reaches w0 and w1; w3 is unreachable and comes last
+        model = KripkeModel.of(
+            [("w0", []), ("w1", []), ("w2", []), ("w3", [])],
+            [("w0", "w0"), ("w1", "w0"), ("w1", "w1"), ("w2", "w1"), ("w2", "w0"), ("w3", "w2")],
+            "w2",
+        )
+        c = compile_model(model)
+
+        def world(w):
+            return 1 << c.index[w], 0
+
+        def edge(s, t):
+            return 0, 1 << c.edge_index[(c.index[s], c.index[t])]
+
+        positions, _ = enumeration._layout(c, True, decision=True)
+        assert positions == [
+            edge("w2", "w0"), edge("w2", "w1"),
+            world("w0"), edge("w0", "w0"),
+            world("w1"), edge("w1", "w0"), edge("w1", "w1"),
+            world("w3"), edge("w3", "w2"),
+        ]
+        assert self.orders_differ(model) and self.orders_differ(model, connected=False)
+
+    def test_vector_is_read_in_ground_set_order(self):
+        # the ground set is w0, w1, then the edges; root-outward the walk
+        # starts at (w2, w0). Deleting w0 leaves no p-world, but deleting
+        # (w2, w0) still reaches w0 through w1: a vector read against the
+        # walk's positions would answer True.
+        model = KripkeModel.of(
+            [("w0", ["p"]), ("w1", []), ("w2", [])],
+            [("w0", "w0"), ("w1", "w0"), ("w1", "w1"), ("w2", "w0"), ("w2", "w1")],
+            "w2",
+        )
+        assert ground_set(model)[0] == WorldElement("w0")
+        size = len(ground_set(model))
+        for text, extend in (("EF p", extend_monotone), ("AF p", extend_afag), ("EF p", extend_exhaustive)):
+            phi = parse_formula(text)
+            for connected in (True, False):
+                delete_w0 = ExtensionQuery(
+                    model, phi, PartialDecision((DELETE,) + (UNDECIDED,) * (size - 1)), connected
+                )
+                assert not extend(delete_w0), (text, extend.__name__, connected)
+                keep_w0 = ExtensionQuery(
+                    model, phi, PartialDecision((KEEP,) + (UNDECIDED,) * (size - 1)), connected
+                )
+                assert extend(keep_w0), (text, extend.__name__, connected)
+            self.check_decisions(model, phi, random.Random(3))
+
+    def test_general_battery_matches_brute_force(self):
+        rng = random.Random(6121)
+        battery = (
+            families.formulas_by_size(("p", "q"), 40, constants=False)[10:]
+            + families.afag_chain_formulas("p", 3)[1:]
+            + families.formulas_by_size(("p", "q"), 12, monotone=True)[4:]
+        )
+        for model in self.rerooted_models():
+            assert self.orders_differ(model)
+            for phi in battery:
+                self.check_decisions(model, phi, rng)
+
+    def test_hampath_reductions_match_brute_force(self):
+        rng = random.Random(6133)
+        generators = (hampath_to_af, hampath_to_ax, hampath_to_au, hampath_to_ar)
+        two = ("v0", "v1")
+        pairs = [(u, v) for u in two for v in two]
+        for bits in range(1 << len(pairs)):
+            edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+            for s, t in itertools.permutations(two):
+                digraph = HampathInstance(two, edges, s, t)
+                expected = brute_hampath(digraph) is not None
+                for generator in generators:
+                    instance = generator(digraph)
+                    assert self.orders_differ(instance.model)
+                    assert exists_submodel(instance.model, instance.formula) == expected
+                    self.check_decisions(
+                        instance.model, instance.formula, rng, connectivities=(True,), cap=25
+                    )
+        # three vertices: brute force prefixes for visit-all and
+        # step-bound, Hamiltonian paths for diamond and release
+        three = ("v0", "v1", "v2")
+        pairs = [(u, v) for u in three for v in three]
+        for bits in rng.sample(range(1 << len(pairs)), 12):
+            edges = tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+            digraph = HampathInstance(three, edges, *rng.sample(three, 2))
+            expected = brute_hampath(digraph) is not None
+            for generator in generators:
+                instance = generator(digraph)
+                assert exists_submodel(instance.model, instance.formula) == expected
+                if generator in (hampath_to_af, hampath_to_ax):
+                    self.check_decisions(instance.model, instance.formula, rng)
+
+    @pytest.mark.parametrize("generator", [hampath_to_au, hampath_to_ar], ids=["au", "ar"])
+    def test_hard_instances_stay_cheap(self, generator):
+        # the 2nd and 6th digraphs of acceptance criterion 6's 4-vertex
+        # sample with s = v1, t = v2: in the ground-set order these took
+        # 267k-1.57M search nodes per decision
+        four = ("v0", "v1", "v2", "v3")
+        pairs = [(u, v) for u in four for v in four]
+        sample = random.Random(17).sample(range(1 << 16), 80)
+        for bits in (sample[1], sample[5]):
+            edges = tuple(pairs[i] for i in range(16) if bits >> i & 1)
+            digraph = HampathInstance(four, edges, "v1", "v2")
+            instance = generator(digraph)
+            ctx = enumeration._Context(instance.model, instance.formula, True, decision=True)
+            verdict = enumeration._decide(ctx, OracleKind.AUTO, 0, 0, 0, 0)
+            assert verdict == (brute_hampath(digraph) is not None)
+            assert ctx.nodes <= 20000, ctx.nodes
 
 
 class TestExistsAfag:

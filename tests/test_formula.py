@@ -82,6 +82,41 @@ class TestParse:
             expected = F.Or(F.Not(F.Atom(name)), expected)
         assert parse_formula(" -> ".join(names)) == expected
 
+    def test_deep_nesting_without_recursion(self):
+        assert parse_formula("(" * 3000 + "p" + ")" * 3000) == F.Atom("p")
+        p, q = atoms("p", "q")
+        expected = p
+        for _ in range(2000):
+            expected = F.AU(expected, q)
+        assert parse_formula("A[" * 2000 + "p" + " U q]" * 2000) == expected
+        expected = q
+        for _ in range(2000):
+            expected = F.ER(p, F.Not(expected))
+        assert parse_formula("E[p R !" * 2000 + "q" + "]" * 2000) == expected
+        # a right-deep & chain renders in nested parentheses and parses back
+        names = [f"x{i}" for i in range(6000)]
+        chain = F.Atom(names[-1])
+        for name in reversed(names[:-1]):
+            chain = F.And(F.Atom(name), chain)
+        text = render_formula(chain)
+        assert text.count("(") == 5998
+        assert parse_formula(text) == chain
+
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("(" * 3000 + "p" + ")" * 2999, "expected ')', found end of input", 6001),
+            ("A[" * 2000 + "p" + " U q]" * 1999 + " q]", "expected 'U' or 'R', found 'q'", 13998),
+            ("(" * 500 + "A[p U (q &)]" + ")" * 500, "expected a formula, found ')'", 511),
+        ],
+        ids=["unclosed-paren", "missing-until", "missing-operand"],
+    )
+    def test_deep_syntax_errors_keep_their_position(self, text, message, column):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert message in str(err.value)
+        assert (err.value.line, err.value.column) == (1, column)
+
     def test_atom_names_with_caret(self):
         assert parse_formula("x1^0") == F.Atom("x1^0")
 

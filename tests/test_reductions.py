@@ -105,10 +105,11 @@ class TestPropositionalWalks:
             for phi in (left, right):
                 assert is_nnf_propositional(phi)
                 assert eval_prop(phi, assignment) == (kind is F.Or)
-            # the parser recurses into parentheses, so only the left-deep
-            # chain, which renders without them, is parsed back
+            # the right-deep chain renders in nested parentheses and both
+            # parse back
             assert parse_formula(render_formula(left)) == left
             assert render_formula(right).count("(") == len(literals) - 2
+            assert parse_formula(render_formula(right)) == right
         assert not is_nnf_propositional(F.And(left, F.Not(F.Not(F.Atom("x1")))))
 
 
