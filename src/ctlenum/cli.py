@@ -2,8 +2,9 @@
 
 Exit codes: 0 command evaluated (whatever the answer) or output pipe
 closed by the reader, 2 parse or validation error, input file not UTF-8
-text or input nested too deeply, 3 oracle/fragment mismatch, 4 trim
-inapplicable.
+text or input nested too deeply, or a file or directory that cannot be
+read or written (an OSError, as for an --out path under a regular
+file), 3 oracle/fragment mismatch, 4 trim inapplicable.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:  # BrokenPipeError, caught above, is one too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

@@ -38,6 +38,11 @@ The must pass (modelcheck.must_masks) takes the E-operators' pre-images
 over the kept edges only: a witness node whose must pass holds at the
 root is settled, since every completion satisfies phi, so below it each
 node's closure is its witness and no node test runs.
+
+A run is set up in one place, _Context, from phi's fragment, AF/AG trim
+and NNF program, which modelcheck.compile_formula derives once per
+formula. The node tests count into the run's EnumerationStats as they
+go, so a session's counters are live.
 """
 
 from __future__ import annotations
@@ -94,7 +99,10 @@ class EnumerationStats:
     bucket covers the precomputation before the first solution and the
     postcomputation after the last. may_passes counts may passes run at
     nodes whose closure fails phi, must_passes the must passes run at
-    witness nodes, settled the nodes whose subtree they settled."""
+    witness nodes, settled the nodes whose subtree they settled,
+    fallback_queries the afag oracle's hand-offs to the closure test.
+    The counters are live during a run; the last bucket is recorded
+    when iteration ends."""
 
     solutions: int = 0
     delays_ns: list[int] = field(default_factory=list)
@@ -105,15 +113,8 @@ class EnumerationStats:
     settled: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "solutions": self.solutions,
-            "delays_ns": list(self.delays_ns),
-            "oracle_calls": list(self.oracle_calls),
-            "fallback_queries": self.fallback_queries,
-            "may_passes": self.may_passes,
-            "must_passes": self.must_passes,
-            "settled": self.settled,
-        }
+        lists = {"delays_ns": list(self.delays_ns), "oracle_calls": list(self.oracle_calls)}
+        return {**vars(self), **lists}
 
     def record(
         self, solutions: Iterable[_T], take_calls: Callable[[], int]
@@ -162,46 +163,40 @@ _Masks = tuple[int, int]
 _EXPLORE = object()
 # a node's mode when every completion of an ancestor satisfies phi
 _SETTLED = object()
-_E_OPERATORS = (F.EX, F.EF, F.EG, F.EU, F.ER)
-_A_OPERATORS = (F.AX, F.AF, F.AG, F.AU, F.AR)
 
 
 class _Context:
-    """Per-run search state: compiled model, fragment, the program of
-    phi in negation normal form, the walk's layout (see _layout; decision
-    selects a decision's order over an enumeration's) and the search-node
-    counter."""
+    """One run's setup and search state. It checks the model, then the
+    limit or the length of states (a decision vector), then resolves the
+    oracle from phi's profile. It holds the compiled model, the node
+    test, phi's trim and NNF program (see modelcheck.FormulaProgram), the
+    walk's layout (see _layout; decision selects a decision's order) and
+    start node, the run's stats and the search-node counter."""
 
     def __init__(
-        self,
-        model: KripkeModel,
-        phi: F.Formula,
-        connected: bool,
-        decision: bool = False,
+        self, model: KripkeModel, phi: F.Formula, kind: OracleKind, connected: bool,
+        decision: bool, *, limit: int | None = None, states: tuple[str, ...] | None = None,
     ):
-        self.compiled = compile_model(model)
+        require_valid(model)
+        self.compiled = c = compile_model(model)
+        if limit is not None and limit < 1:
+            raise ValueError("limit must be at least 1")
+        if states is not None and len(states) != c.ground_size:
+            raise ValueError("decision vector length does not match the ground set")
+        written = compile_formula(phi)
+        self.oracle_kind = _resolve_oracle(kind, written.profile)
+        self.test = _ORACLES[self.oracle_kind]
+        self.trimmed = written.trimmed
+        self.program = written.nnf
         self.connected = connected
         self.decision = decision
-        self.profile = F.classify_fragment(phi)
-        self.trimmed: F.TrimmedForm | None = None
-        if self.profile.afag_chain and not isinstance(phi, F.Atom):
-            self.trimmed = F.afag_trim(phi)
-        self.fallback_queries = 0
+        self.root_bit = 1 << c.root
+        self.positions, self.edge_rules = _layout(c, connected, decision)
+        self.start = (0, 0, 0, 0)
+        if states:
+            self.start = _committed(c, states, KEEP) + _committed(c, states, DELETE)
+        self.stats = EnumerationStats()
         self.nodes = 0
-        nodes = compile_formula(phi).nodes
-        # the may and must passes need negation on atoms only; a formula
-        # that has it already skips the rewrite
-        if any(isinstance(node, F.Not) and not isinstance(node.child, F.Atom) for node in nodes):
-            phi = F.negation_normal_form(phi)
-        self.program = compile_formula(phi)
-        nodes = self.program.nodes
-        self.existential = any(isinstance(node, _E_OPERATORS) for node in nodes)
-        self.universal = any(isinstance(node, _A_OPERATORS) for node in nodes)
-        self.may_passes = 0
-        self.must_passes = 0
-        self.settled = 0
-        self.root_bit = 1 << self.compiled.root
-        self.positions, self.edge_rules = _layout(self.compiled, connected, decision)
 
 
 def _layout(
@@ -242,6 +237,14 @@ def _layout(
             order += [v for v in c.ground_worlds if not seen >> v & 1]
             seen = c.all_worlds
     return positions, edge_rules
+
+
+def _committed(c: CompiledModel, states: tuple[str, ...], state: str) -> _Masks:
+    """World and edge masks of the positions in state of a decision
+    vector, which is in ground-set order whatever order the walk takes."""
+    worlds = sum(1 << w for w, s in zip(c.ground_worlds, states) if s == state)
+    edges = enumerate(states[len(c.ground_worlds):])
+    return worlds, sum(1 << e for e, s in edges if s == state)
 
 
 # (ctx, keep_w, keep_e, del_w, del_e, cl) -> witness, _EXPLORE or None:
@@ -314,12 +317,10 @@ def _branch(
         pos += 1
 
 
-def _walk(
-    ctx: _Context, test: _NodeTest, keep_w: int, keep_e: int, del_w: int, del_e: int
-) -> Iterator[_Masks]:
-    """The one search, depth-first below the node (keep_w, keep_e,
-    del_w, del_e) over ctx.positions: keep child first in an
-    enumeration, delete child first in a decision.
+def _walk(ctx: _Context) -> Iterator[_Masks]:
+    """The one search, depth-first below the node ctx.start over
+    ctx.positions: keep child first in an enumeration, delete child
+    first in a decision.
 
     A node carries the closure of its nearest tested ancestor and a mode:
     None, _EXPLORE when that test explored, or _SETTLED when every
@@ -336,7 +337,8 @@ def _walk(
     """
     total = len(ctx.positions)
     all_worlds, all_edges = ctx.compiled.all_worlds, ctx.compiled.all_edges
-    decision = ctx.decision
+    decision, test = ctx.decision, ctx.test
+    keep_w, keep_e, del_w, del_e = ctx.start
     witness: _Masks | None = None
     pos, cl, mode = 0, None, None
     stack: list[tuple[int, int, int, int, int, _Masks, object]] = []
@@ -402,11 +404,11 @@ def _settles(ctx: _Context, keep_e: int, cl: _Masks, found: _Masks) -> bool:
     """Does every completion of the node satisfy phi? A closure witness
     answers for phi without E-operators, whose must pass is a labeling
     of the closure; otherwise the must pass decides."""
-    if found != cl or ctx.existential:
-        ctx.must_passes += 1
+    if found != cl or ctx.program.existential:
+        ctx.stats.must_passes += 1
         if not must_masks(ctx.compiled, *cl, keep_e, ctx.program)[-1] & ctx.root_bit:
             return False
-    ctx.settled += 1
+    ctx.stats.settled += 1
     return True
 
 
@@ -427,9 +429,9 @@ def _closure_test(
     c = ctx.compiled
     if label_masks(c, *cl, ctx.program)[-1] & ctx.root_bit:
         return cl
-    if not ctx.universal:
+    if not ctx.program.universal:
         return None
-    ctx.may_passes += 1
+    ctx.stats.may_passes += 1
     if may_masks(c, *cl, keep_e, ctx.program)[-1] & ctx.root_bit:
         return _EXPLORE
     return None
@@ -456,7 +458,7 @@ def _oracle_afag(
         return _node_closure(
             ctx, cl, keep_w, keep_e, del_w | (c.all_worlds & ~labeled), del_e
         )
-    ctx.fallback_queries += 1
+    ctx.stats.fallback_queries += 1
     return _closure_test(ctx, keep_w, keep_e, del_w, del_e, cl)
 
 
@@ -467,19 +469,20 @@ _ORACLES: dict[OracleKind, _NodeTest] = {
 }
 
 
-def resolve_oracle(kind: OracleKind, ctx: _Context) -> OracleKind:
-    profile = ctx.profile
+def _resolve_oracle(kind: OracleKind, profile: F.FragmentProfile) -> OracleKind:
+    # an AF/AG chain with an operator, as for FormulaProgram.trimmed
+    chain = profile.afag_chain and profile.operators
     if kind is OracleKind.AUTO:
         if profile.monotone_existential:
             return OracleKind.MONOTONE
-        if ctx.trimmed is not None:
+        if chain:
             return OracleKind.AFAG
         return OracleKind.EXHAUSTIVE
     if kind is OracleKind.MONOTONE and not profile.monotone_existential:
         raise OracleFragmentMismatch(
             "monotone oracle needs a negation-free existential formula"
         )
-    if kind is OracleKind.AFAG and ctx.trimmed is None:
+    if kind is OracleKind.AFAG and not chain:
         raise OracleFragmentMismatch(
             "afag oracle needs an AF/AG chain with at least one operator"
         )
@@ -492,8 +495,9 @@ def resolve_oracle(kind: OracleKind, ctx: _Context) -> OracleKind:
 class EnumerationSession:
     """One enumeration run; iterate it to stream solutions.
 
-    The session owns its mutable search state and is single threaded;
-    stats are complete once iteration finishes (exhaustion, the limit,
+    The session owns its mutable search state and is single threaded.
+    Its stats are its run's: counted as the search goes, with the last
+    gap's bucket added once iteration finishes (exhaustion, the limit,
     or abandonment).
     """
 
@@ -505,14 +509,10 @@ class EnumerationSession:
         connected: bool = True,
         limit: int | None = None,
     ):
-        require_valid(model)
-        if limit is not None and limit < 1:
-            raise ValueError("limit must be at least 1")
-        self._ctx = _Context(model, phi, connected)
-        self.oracle_kind = resolve_oracle(oracle, self._ctx)
-        self._test = _ORACLES[self.oracle_kind]
+        self._ctx = _Context(model, phi, oracle, connected, decision=False, limit=limit)
+        self.oracle_kind = self._ctx.oracle_kind
+        self.stats = self._ctx.stats
         self._limit = limit
-        self.stats = EnumerationStats()
         self._finished = False
 
     def __iter__(self) -> Iterator[Submodel]:
@@ -523,17 +523,12 @@ class EnumerationSession:
 
     def _iterate(self) -> Iterator[Submodel]:
         ctx = self._ctx
-        walk = islice(_walk(ctx, self._test, 0, 0, 0, 0), self._limit)
-        solutions = self.stats.record(walk, self._take_nodes)
+        solutions = self.stats.record(islice(_walk(ctx), self._limit), self._take_nodes)
         try:
             for sol_w, sol_e in solutions:
                 yield ctx.compiled.submodel(sol_w, sol_e)
         finally:
             solutions.close()
-            self.stats.fallback_queries = ctx.fallback_queries
-            self.stats.may_passes = ctx.may_passes
-            self.stats.must_passes = ctx.must_passes
-            self.stats.settled = ctx.settled
 
     def _take_nodes(self) -> int:
         nodes, self._ctx.nodes = self._ctx.nodes, 0
@@ -554,31 +549,15 @@ def enumerate_submodels(
 # --- decision problems -----------------------------------------------------------
 
 
-def _decide(
-    ctx: _Context, kind: OracleKind, keep_w: int, keep_e: int, del_w: int, del_e: int
-) -> bool:
-    test = _ORACLES[resolve_oracle(kind, ctx)]
-    walk = _walk(ctx, test, keep_w, keep_e, del_w, del_e)
-    return next(walk, None) is not None
+def _decide(ctx: _Context) -> bool:
+    return next(_walk(ctx), None) is not None
 
 
 def _extend(kind: OracleKind, query: ExtensionQuery) -> bool:
-    require_valid(query.model)
-    ctx = _Context(query.model, query.formula, query.connected, decision=True)
-    worlds = ctx.compiled.ground_worlds
-    if len(query.decision.states) != ctx.compiled.ground_size:
-        raise ValueError("decision vector length does not match the ground set")
-    # the vector is in ground-set order, not in the walk's root-outward one
-    keep_w = keep_e = del_w = del_e = 0
-    for i, state in enumerate(query.decision.states):
-        wbit, ebit = (1 << worlds[i], 0) if i < len(worlds) else (0, 1 << i - len(worlds))
-        if state == KEEP:
-            keep_w |= wbit
-            keep_e |= ebit
-        elif state == DELETE:
-            del_w |= wbit
-            del_e |= ebit
-    return _decide(ctx, kind, keep_w, keep_e, del_w, del_e)
+    return _decide(_Context(
+        query.model, query.formula, kind, query.connected, decision=True,
+        states=query.decision.states,
+    ))
 
 
 def extend_exhaustive(query: ExtensionQuery) -> bool:
@@ -602,12 +581,10 @@ def extend_afag(query: ExtensionQuery) -> bool:
 
 def exists_submodel(model: KripkeModel, phi: F.Formula) -> bool:
     """Does any valid connected submodel satisfy phi?"""
-    require_valid(model)
     # a decision walks root-outward and delete-first: the route near the
     # root is fixed first and small submodels come first, so witnesses of
     # sparse instances surface early
-    ctx = _Context(model, phi, connected=True, decision=True)
-    return _decide(ctx, OracleKind.AUTO, 0, 0, 0, 0)
+    return _decide(_Context(model, phi, OracleKind.AUTO, connected=True, decision=True))
 
 
 def brute_force_enumerate(

@@ -190,6 +190,11 @@ KEYWORDS = {"true", "false", "A", "E", "U", "R"} | set(UNARY_TEMPORAL)
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_^]*")
 
 
+def is_atom_name(text: str) -> bool:
+    """Does text read back as one atom of the grammar?"""
+    return _ATOM_RE.fullmatch(text) is not None and text not in KEYWORDS
+
+
 def operator_name(phi: Formula) -> str | None:
     """Temporal operator at the root of phi, or None for Boolean nodes."""
     name = type(phi).__name__

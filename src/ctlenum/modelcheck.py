@@ -55,9 +55,13 @@ Step = tuple[int, int | str | None, int | None]
 class FormulaProgram:
     """A formula compiled into post-order steps, one per distinct
     subformula; the root is the last slot. Equal and hashed as its
-    formula."""
+    formula. existential and universal: does some E-, some A-operator
+    occur. compile_formula adds to the program of the formula it is
+    given: profile (formula.classify_fragment), trimmed (afag_trim of an
+    AF/AG chain with an operator, else None) and nnf (the program in
+    negation normal form; itself when negation sits on atoms only)."""
 
-    __slots__ = ("formula", "nodes", "steps")
+    __slots__ = ("formula", "nodes", "steps", "existential", "universal", "profile", "trimmed", "nnf")
 
     def __init__(
         self, formula: F.Formula, nodes: tuple[F.Formula, ...], steps: tuple[Step, ...]
@@ -65,6 +69,12 @@ class FormulaProgram:
         self.formula = formula
         self.nodes = nodes
         self.steps = steps
+        ops = {op for op, _, _ in steps}
+        self.existential = not ops.isdisjoint((_EX, _EF, _EG, _EU, _ER))
+        self.universal = not ops.isdisjoint((_AX, _AF, _AG, _AU, _AR))
+        self.profile: F.FragmentProfile | None = None
+        self.trimmed: F.TrimmedForm | None = None
+        self.nnf = self
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FormulaProgram) and self.formula == other.formula
@@ -75,10 +85,21 @@ class FormulaProgram:
 
 @lru_cache(maxsize=1024)
 def compile_formula(phi: F.Formula) -> FormulaProgram:
+    """phi's program and facts (see FormulaProgram). Programs are
+    immutable, so each formula is compiled, classified and rewritten
+    once per process while it stays among the most recently used."""
+    program = _compile(phi)
+    if any(op == _NOT and program.steps[a][0] != _ATOM for op, a, _ in program.steps):
+        program.nnf = _compile(F.negation_normal_form(phi))
+    program.profile = profile = F.classify_fragment(phi)
+    if profile.afag_chain and profile.operators:
+        program.trimmed = F.afag_trim(phi)
+    return program
+
+
+def _compile(phi: F.Formula) -> FormulaProgram:
     """One slot per distinct subformula, children before parents and left
-    subtrees before right ones; walks phi with an explicit stack. Programs
-    are immutable, so each formula compiles once per process while it
-    stays among the most recently used."""
+    subtrees before right ones; walks phi with an explicit stack."""
     slots: dict[F.Formula, int] = {}
     nodes: list[F.Formula] = []
     steps: list[Step] = []

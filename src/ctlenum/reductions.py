@@ -105,7 +105,9 @@ def brute_sat(phi: F.Formula, cap: int = 20) -> dict[str, bool] | None:
 
 @dataclass(frozen=True)
 class HampathInstance:
-    """Directed graph with designated distinct source and target."""
+    """Directed graph with designated distinct source and target. Each
+    vertex id v makes x_<v> an atom of the formula grammar, as the
+    reductions' formulas name it."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -117,6 +119,8 @@ class HampathInstance:
         for v in self.vertices:
             if v in seen:
                 raise ModelFormatError(f"duplicate vertex {v!r}")
+            if not F.is_atom_name(f"x_{v}"):
+                raise ModelFormatError(f"vertex {v!r} does not make an atom x_{v}")
             seen.add(v)
         if self.source not in seen or self.target not in seen:
             raise ModelFormatError("source and target must be declared vertices")

@@ -442,3 +442,23 @@ def existential_weakening(phi: F.Formula) -> F.Formula | None:
             unchanged = left is node.left and right is node.right
             weakened[key] = node if twin is kind and unchanged else twin(left, right)
     return weakened[id(phi)]
+
+
+_E_KINDS = (F.EX, F.EF, F.EG, F.EU, F.ER)
+_A_KINDS = (F.AX, F.AF, F.AG, F.AU, F.AR)
+
+
+def reference_program_facts(phi: F.Formula) -> tuple[F.Formula, bool, bool]:
+    """What a search reads of phi, by isinstance scans over every
+    subformula: the formula its passes run (phi when negation sits on
+    atoms only, else phi's negation normal form) and whether that
+    formula has an E-operator and an A-operator."""
+    if any(
+        isinstance(node, F.Not) and not isinstance(node.child, F.Atom)
+        for node in F.subformulas(phi)
+    ):
+        phi = F.negation_normal_form(phi)
+    nodes = list(F.subformulas(phi))
+    existential = any(isinstance(node, _E_KINDS) for node in nodes)
+    universal = any(isinstance(node, _A_KINDS) for node in nodes)
+    return phi, existential, universal

@@ -194,6 +194,16 @@ class TestEnumerate:
         assert code == 0
         assert len(out.strip().splitlines()) == 1
 
+    def test_out_under_a_file(self, two_world_path, tmp_path):
+        # NotADirectoryError: a path error, no traceback
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_cli(
+            "enumerate", "--model", two_world_path, "--formula", "true", "--out", str(taken / "x")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("oracle", ["auto", "brute"])
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_rejected(self, tmp_path, oracle, limit):
@@ -541,6 +551,60 @@ class TestReduce:
         assert (code, err) == (0, "")
         written = parse_formula((out_dir / "formula.txt").read_text())
         assert written == sat_to_ag(parse_formula(text), encoding=encoding).formula
+
+    def test_out_is_a_file(self, tmp_path, square_digraph):
+        # FileExistsError: a path error, no traceback
+        from ctlenum.reductions import digraph_to_dict
+
+        digraph_path = tmp_path / "g.json"
+        digraph_path.write_text(json.dumps(digraph_to_dict(square_digraph)))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run_cli(
+            "reduce", "hampath-ax", "--digraph", str(digraph_path), "--out", str(taken)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("kind", ["hampath-af", "hampath-ax", "hampath-au", "hampath-ar"])
+    def test_formula_file_reads_back(self, tmp_path, kind):
+        # every character an atom allows, in vertex ids; the path is
+        # s, a_1, B2^x, t
+        digraph = {
+            "vertices": ["s", "a_1", "B2^x", "t"],
+            "edges": [["s", "a_1"], ["a_1", "B2^x"], ["B2^x", "t"], ["s", "t"]],
+            "source": "s",
+            "target": "t",
+        }
+        digraph_path = tmp_path / "g.json"
+        digraph_path.write_text(json.dumps(digraph))
+        out_dir = tmp_path / kind
+        code, _, _ = run_cli("reduce", kind, "--digraph", str(digraph_path), "--out", str(out_dir))
+        assert code == 0
+        code, out, err = run_cli(
+            "exists", "--model", str(out_dir / "model.json"),
+            "--formula-file", str(out_dir / "formula.txt"),
+        )
+        assert (code, out, err) == (0, "true\n", "")
+
+    @pytest.mark.parametrize("vertex", ["a-1", "a b", "1.5", "é"])
+    def test_vertex_without_atom(self, tmp_path, vertex):
+        digraph = {
+            "vertices": ["s", vertex, "t"],
+            "edges": [["s", vertex], [vertex, "t"]],
+            "source": "s",
+            "target": "t",
+        }
+        digraph_path = tmp_path / "g.json"
+        digraph_path.write_text(json.dumps(digraph))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            "reduce", "hampath-af", "--digraph", str(digraph_path), "--out", str(out_dir)
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: vertex {vertex!r} does not make an atom x_{vertex}\n"
+        assert not out_dir.exists()
 
     def test_missing_input(self, tmp_path):
         for kind, needed in (("hampath-af", "--digraph"), ("sat-ag", "--formula")):

@@ -22,7 +22,7 @@ from ctlenum.enumeration import (
     extend_monotone,
     extract_lasso_witness,
 )
-from ctlenum.errors import CapExceeded, InvalidModelError, OracleFragmentMismatch
+from ctlenum.errors import CapExceeded, InvalidModelError, NotAFAGChain, OracleFragmentMismatch
 from ctlenum.formula import afag_trim, parse_formula
 from ctlenum.kripke import (
     DELETE,
@@ -52,6 +52,7 @@ from oracles import (
     existential_weakening,
     naive_check,
     reference_closure,
+    reference_program_facts,
     relabeled_exists_afag,
 )
 from test_formula import formula_trees, negation_on_atoms_only
@@ -646,6 +647,14 @@ def negated_operator_battery():
     ]
 
 
+def deep_negated_chain():
+    """!AF !EX, 20,000 times over, around p."""
+    phi: F.Formula = F.Atom("p")
+    for _ in range(20000):
+        phi = F.Not(F.AF(F.Not(F.EX(phi))))
+    return phi
+
+
 class TestNegationNormalSessions:
     """A session compiles phi in negation normal form: formulas with a
     negation above an operator get the may and must passes too, and
@@ -704,11 +713,9 @@ class TestNegationNormalSessions:
         assert may > 0 and must > 0, (may, must)
 
     def test_deep_negated_chain(self):
-        # !AF !EX, 20,000 times over, built in code: its negation normal
-        # form EG EX ... p is built and labeled without recursion
-        phi: F.Formula = F.Atom("p")
-        for _ in range(20000):
-            phi = F.Not(F.AF(F.Not(F.EX(phi))))
+        # built in code: its negation normal form EG EX ... p is built and
+        # labeled without recursion
+        phi = deep_negated_chain()
         model = families.chain_models(3)
         session = enumerate_submodels(model, phi)
         assert set(session) == brute_force_enumerate(model, phi)
@@ -1075,8 +1082,10 @@ class TestDecisionOrder:
             edges = tuple(pairs[i] for i in range(16) if bits >> i & 1)
             digraph = HampathInstance(four, edges, "v1", "v2")
             instance = generator(digraph)
-            ctx = enumeration._Context(instance.model, instance.formula, True, decision=True)
-            verdict = enumeration._decide(ctx, OracleKind.AUTO, 0, 0, 0, 0)
+            ctx = enumeration._Context(
+                instance.model, instance.formula, OracleKind.AUTO, True, decision=True
+            )
+            verdict = enumeration._decide(ctx)
             assert verdict == (brute_hampath(digraph) is not None)
             assert ctx.nodes <= 20000, ctx.nodes
 
@@ -1406,3 +1415,84 @@ class TestStats:
         list(session)
         with pytest.raises(RuntimeError):
             iter(session)
+
+
+class TestRunSetup:
+    """A run's setup reads phi's facts off its compiled program, checks
+    its arguments in a fixed order and counts into live stats."""
+
+    def test_program_facts_match_node_scans(self):
+        battery = (
+            families.formulas_by_size(("p", "q"), 300)
+            + families.afag_chain_formulas("p", 4)
+            + families.formulas_by_size(("p", "q"), 100, monotone=True)
+            + negated_operator_battery()
+            + [deep_negated_chain()]
+        )
+        for phi in battery:
+            program = compile_formula(phi)
+            rewritten, existential, universal = reference_program_facts(phi)
+            assert (program.nnf is program) == (rewritten is phi), F.render_formula(phi)
+            assert program.nnf.formula == rewritten
+            assert (program.nnf.existential, program.nnf.universal) == (existential, universal)
+            assert program.profile == F.classify_fragment(phi)
+            try:
+                trimmed = afag_trim(phi)
+            except NotAFAGChain:
+                trimmed = None
+            assert program.trimmed == trimmed
+
+    def test_error_order(self, two_world_model):
+        # an invalid model first, then the limit or the vector's length,
+        # then the oracle's fragment
+        invalid = KripkeModel.of([("r", []), ("w", [])], [("r", "w")], "r")
+        phi = parse_formula("EX p")
+        for model, limit, error in (
+            (invalid, 0, InvalidModelError),
+            (two_world_model, 0, ValueError),
+            (two_world_model, 1, OracleFragmentMismatch),
+        ):
+            with pytest.raises(error) as raised:
+                enumerate_submodels(model, phi, oracle=OracleKind.AFAG, limit=limit)
+            assert raised.type is error
+        for extend, formula in ((extend_afag, phi), (extend_monotone, parse_formula("AG p"))):
+            for model, decision, error in (
+                (invalid, PartialDecision(()), InvalidModelError),
+                (two_world_model, PartialDecision(()), ValueError),
+                (two_world_model, empty_decision(two_world_model), OracleFragmentMismatch),
+            ):
+                with pytest.raises(error) as raised:
+                    extend(ExtensionQuery(model, formula, decision))
+                assert raised.type is error
+
+    def test_each_formula_analysed_once(self, monkeypatch):
+        calls = {"classify_fragment": 0, "negation_normal_form": 0}
+        for name in calls:
+            def counted(phi, name=name, original=getattr(F, name)):
+                calls[name] += 1
+                return original(phi)
+
+            monkeypatch.setattr(F, name, counted)
+        # negation above an operator: the passes run the rewrite
+        phi = parse_formula("!A[p U EX q]")
+        model = families.random_model(random.Random(11), 4, atoms=("p", "q"))
+        query = ExtensionQuery(model, phi, empty_decision(model))
+        compile_formula.cache_clear()
+        for _ in range(50):
+            assert list(enumerate_submodels(model, phi))
+            assert exists_submodel(model, phi) and extend_exhaustive(query)
+        # the first session compiles phi; no run analyses it again
+        assert calls == {"classify_fragment": 1, "negation_normal_form": 1}
+
+    def test_counters_are_live(self):
+        # a closure that fails AF q gets may passes before the stream ends
+        model = families.chain_models(6, atom="q")
+        model = KripkeModel.of(
+            [(w.id, ["q"] if w.id == "w6" else []) for w in model.worlds], model.edges, model.root
+        )
+        session = enumerate_submodels(model, parse_formula("AF q"))
+        stream = iter(session)
+        next(stream)
+        assert session.stats is session._ctx.stats
+        assert session.stats.may_passes > 0
+        stream.close()
