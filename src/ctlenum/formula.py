@@ -16,6 +16,7 @@ Atoms match ``[A-Za-z_][A-Za-z0-9_^]*`` and must not collide with keywords.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
@@ -28,95 +29,111 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Formula:
+# every live formula node, keyed by its kind and fields (children by
+# identity); weak, so it holds only nodes that someone else holds
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Building a node returns the live node of the same kind and fields,
+    if there is one, without running __init__ again."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # dataclasses.replace passes every field by name
+            args += tuple(kwargs.pop(f.name) for f in fields(cls)[len(args):] if f.name in kwargs)
+            if kwargs:  # unknown or repeated: __init__ raises
+                return super().__call__(*args, **kwargs)
+        key = (cls, *args)
+        node = _LIVE.get(key)
+        if node is None:
+            node = _LIVE[key] = super().__call__(*args)
+        return node
+
+
+@dataclass(frozen=True, eq=False)
+class Formula(metaclass=_Interned):
     """Base class; concrete nodes are the sixteen kinds below.
 
-    Nodes are immutable, so each one hashes its fields once, when it is
-    built, and hashing is a lookup afterwards instead of a walk over the
-    subtree. The value is the dataclass one (the hash of the field tuple);
-    equality is the field-wise comparison, walked without recursion.
+    Nodes are immutable and interned: equal formulas are one object, so
+    equality and hashing are identity's and cost the same at any depth.
     """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
-
     def __reduce__(self):
-        # rebuild through __init__: a stored hash of a string is only
-        # valid in the process that computed it
+        # rebuild through the class call, which returns the live node;
+        # the default would make a second node equal to no other
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Unary(Formula):
     """A path-quantified unary temporal operator applied to one child."""
 
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EX(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AX(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EF(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AF(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EG(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AG(Unary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Binary(Formula):
     """A path-quantified binary temporal operator (until / release)."""
 
@@ -124,22 +141,22 @@ class Binary(Formula):
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EU(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AU(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ER(Binary):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AR(Binary):
     pass
 
@@ -147,40 +164,6 @@ class AR(Binary):
 UNARY_TEMPORAL = {"EX": EX, "AX": AX, "EF": EF, "AF": AF, "EG": EG, "AG": AG}
 BINARY_TEMPORAL = {"EU": EU, "AU": AU, "ER": ER, "AR": AR}
 
-
-def _stored_hash(node: Formula) -> int:
-    return node._hash
-
-
-def _structural_eq(node: Formula, other: object) -> bool:
-    """Field-wise equality on an explicit stack, so depth costs no
-    recursion; a differing kind or stored hash rejects at once."""
-    if type(other) is not type(node):
-        return NotImplemented
-    stack = [(node, other)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if type(a) is not type(b) or a._hash != b._hash:
-            return False
-        if type(a) is Atom:
-            if a.name != b.name:
-                return False
-        else:
-            stack.extend(zip(_children(a), _children(b)))
-    return True
-
-
-# @dataclass gives every frozen class its own re-hashing __hash__ and
-# recursive __eq__; replace them on all of them with the hash stored at
-# construction and the iterative comparison
-for _kind in (
-    Formula, Top, Bottom, Atom, Not, And, Or, Unary, Binary,
-    *UNARY_TEMPORAL.values(), *BINARY_TEMPORAL.values(),
-):
-    _kind.__hash__ = _stored_hash
-    _kind.__eq__ = _structural_eq
 
 TEMPORAL_OPS = set(UNARY_TEMPORAL) | set(BINARY_TEMPORAL)
 EXISTENTIAL_OPS = {"EX", "EF", "EG", "EU", "ER"}
@@ -387,7 +370,7 @@ def _precedence(phi: Formula) -> int:
 
 
 def render_formula(phi: Formula) -> str:
-    """Deterministic text form; parse_formula round-trips it structurally.
+    """Deterministic text form; parse_formula reads it back as phi itself.
     Emits pieces from an explicit stack, so depth costs no recursion."""
     out: list[str] = []
     stack: list[Formula | str] = [phi]
@@ -467,15 +450,14 @@ def classify_fragment(phi: Formula) -> FragmentProfile:
     operators = set()
     connectives = set()
     uses_constants = False
-    # each distinct node object once: the profile is a set of kinds, and
-    # identity needs no recursive dataclass comparison
-    seen: set[int] = set()
+    # each distinct subformula once: the profile is a set of kinds
+    seen: set[Formula] = set()
     stack = [phi]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.extend(_children(node))
         name = operator_name(node)
         if name is not None:
@@ -623,29 +605,29 @@ def substitute_atoms(phi: Formula, mapping: Mapping[str, Formula]) -> Formula:
     left untouched. Rebuilt bottom-up with an explicit stack; nodes are
     checked in pre-order, left subtree first.
     """
-    done: dict[int, Formula] = {}  # id of a node -> its substitute
+    done: dict[Formula, Formula] = {}  # a node -> its substitute
     stack: list[tuple[Formula, bool]] = [(phi, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            left, right = done[id(node.left)], done[id(node.right)]
-            done[id(node)] = type(node)(left, right)
+            left, right = done[node.left], done[node.right]
+            done[node] = type(node)(left, right)
             continue
         if isinstance(node, (Top, Bottom)):
-            done[id(node)] = node
+            done[node] = node
         elif isinstance(node, Atom):
             if node.name not in mapping:
                 raise UnmappedAtom(node.name)
-            done[id(node)] = mapping[node.name]
+            done[node] = mapping[node.name]
         elif isinstance(node, Not):
             if not isinstance(node.child, Atom):
                 raise NotNNF("negation above a non-atom")
             key = "!" + node.child.name
             if key not in mapping:
                 raise UnmappedAtom(key)
-            done[id(node)] = mapping[key]
+            done[node] = mapping[key]
         elif isinstance(node, (And, Or)):
             stack += ((node, True), (node.right, False), (node.left, False))
         else:
             raise NotNNF(f"temporal operator in propositional skeleton: {render_formula(node)}")
-    return done[id(phi)]
+    return done[phi]

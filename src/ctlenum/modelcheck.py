@@ -54,12 +54,14 @@ Step = tuple[int, int | str | None, int | None]
 
 class FormulaProgram:
     """A formula compiled into post-order steps, one per distinct
-    subformula; the root is the last slot. Equal and hashed as its
-    formula. existential and universal: does some E-, some A-operator
-    occur. compile_formula adds to the program of the formula it is
-    given: profile (formula.classify_fragment), trimmed (afag_trim of an
-    AF/AG chain with an operator, else None) and nnf (the program in
-    negation normal form; itself when negation sits on atoms only)."""
+    subformula; the root is the last slot. existential and universal:
+    does some E-, some A-operator occur. compile_formula adds to the
+    program of the formula it is given: profile
+    (formula.classify_fragment), trimmed (afag_trim of an AF/AG chain
+    with an operator, else None) and nnf (the program in negation normal
+    form; itself when negation sits on atoms only). Equal formulas are
+    one object, so a cached program serves every formula equal to its
+    own; a program is equal only to itself."""
 
     __slots__ = ("formula", "nodes", "steps", "existential", "universal", "profile", "trimmed", "nnf")
 
@@ -75,12 +77,6 @@ class FormulaProgram:
         self.profile: F.FragmentProfile | None = None
         self.trimmed: F.TrimmedForm | None = None
         self.nnf = self
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FormulaProgram) and self.formula == other.formula
-
-    def __hash__(self) -> int:
-        return hash(self.formula)
 
 
 @lru_cache(maxsize=1024)

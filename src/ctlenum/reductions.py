@@ -239,9 +239,13 @@ def sat_to_ag(phi: F.Formula, encoding: str = "negation") -> ReductionInstance:
 
     Each variable x gets worlds w{i}^0 and w{i}^1 labeled {x, x^0} and
     {x, x^1}; the formula replaces the literal x by AG(x -> x^1) and !x
-    by AG(x -> x^0). With the relabel encoding the inner negation is
-    replaced by a complement label not<x> carried by every world where x
-    is absent, leaving AG with conjunction and disjunction only.
+    by AG(x -> x^0). The marker's ^ is a run one longer than the longest
+    run of ^ in any variable name, so no marker is a variable's name or
+    another variable's marker: with variables x and x^1 the markers are
+    x^^0, x^^1, x^1^^0 and x^1^^1. With the relabel encoding the inner
+    negation is replaced by a complement label not<x> carried by every
+    world where x is absent, leaving AG with conjunction and disjunction
+    only.
     """
     require_nnf(phi)
     if encoding not in ("negation", "relabel"):
@@ -250,10 +254,13 @@ def sat_to_ag(phi: F.Formula, encoding: str = "negation") -> ReductionInstance:
     if not variables:
         raise ValueError("at least one variable is required")
     n = len(variables)
+    mark = "^"
+    while any(mark in name for name in variables):
+        mark += "^"
     worlds: list[tuple[str, list[str]]] = [("w0", [])]
     for i, name in enumerate(variables, start=1):
         for k in (0, 1):
-            worlds.append((f"w{i}^{k}", [name, f"{name}^{k}"]))
+            worlds.append((f"w{i}^{k}", [name, f"{name}{mark}{k}"]))
     edges = [("w0", f"w1^{k}") for k in (0, 1)]
     edges += [
         (f"w{i}^{k}", f"w{i + 1}^{l}")
@@ -269,13 +276,13 @@ def sat_to_ag(phi: F.Formula, encoding: str = "negation") -> ReductionInstance:
         ]
         mapping = {}
         for name in variables:
-            mapping[name] = F.AG(F.Or(F.Atom(f"not{name}"), F.Atom(f"{name}^1")))
-            mapping["!" + name] = F.AG(F.Or(F.Atom(f"not{name}"), F.Atom(f"{name}^0")))
+            mapping[name] = F.AG(F.Or(F.Atom(f"not{name}"), F.Atom(f"{name}{mark}1")))
+            mapping["!" + name] = F.AG(F.Or(F.Atom(f"not{name}"), F.Atom(f"{name}{mark}0")))
     else:
         mapping = {}
         for name in variables:
-            mapping[name] = F.AG(F.Or(F.Not(F.Atom(name)), F.Atom(f"{name}^1")))
-            mapping["!" + name] = F.AG(F.Or(F.Not(F.Atom(name)), F.Atom(f"{name}^0")))
+            mapping[name] = F.AG(F.Or(F.Not(F.Atom(name)), F.Atom(f"{name}{mark}1")))
+            mapping["!" + name] = F.AG(F.Or(F.Not(F.Atom(name)), F.Atom(f"{name}{mark}0")))
     model = KripkeModel.of(worlds, edges, "w0")
     require_valid(model)
     source = F.render_formula(phi)
@@ -370,27 +377,28 @@ def hampath_to_ax(instance: HampathInstance) -> ReductionInstance:
 
 
 def hampath_to_au(instance: HampathInstance) -> ReductionInstance:
-    """Diamond expansion: each vertex becomes an entry world, n slot
-    worlds labeled x1..xn and an exit world; nested untils force one
-    fresh slot index per visited diamond."""
+    """Diamond expansion: each vertex v becomes an entry world w_v, n slot
+    worlds w_v.1..w_v.n labeled x1..xn and an exit world w_v.hat; nested
+    untils force one fresh slot index per visited diamond. No vertex id
+    holds a '.', so the derived world ids never meet another world's."""
     n = len(instance.vertices)
     worlds = []
     edges = []
     for v in instance.vertices:
-        entry, exit_ = f"w_{v}", f"w_hat_{v}"
+        entry, exit_ = f"w_{v}", f"w_{v}.hat"
         worlds.append((entry, []))
         for i in range(1, n + 1):
-            slot = f"w_{v}_{i}"
+            slot = f"w_{v}.{i}"
             worlds.append((slot, [f"x{i}"]))
             edges += [(entry, slot), (slot, exit_)]
         worlds.append((exit_, [f"x_{v}"] if v == instance.target else []))
     edges += [
-        (f"w_hat_{u}", f"w_{v}")
+        (f"w_{u}.hat", f"w_{v}")
         for u, v in instance.edges
         if u != instance.target
     ]
-    edges += [(f"w_hat_{v}", f"w_hat_{v}") for v in sorted(_dead_ends(instance))]
-    edges.append((f"w_hat_{instance.target}", f"w_hat_{instance.target}"))
+    edges += [(f"w_{v}.hat", f"w_{v}.hat") for v in sorted(_dead_ends(instance))]
+    edges.append((f"w_{instance.target}.hat", f"w_{instance.target}.hat"))
     model = KripkeModel.of(worlds, edges, f"w_{instance.source}")
     require_valid(model)
     phi: F.Formula = F.AU(F.Top(), F.Atom(f"x_{instance.target}"))
@@ -402,14 +410,16 @@ def hampath_to_au(instance: HampathInstance) -> ReductionInstance:
 def hampath_to_ar(instance: HampathInstance) -> ReductionInstance:
     """Extended diamonds with a buffer world before each exit; the z/y
     labeling makes nested releases step through diamonds like AX would.
+    Vertex v's worlds are w_v, w_v.1..w_v.n, the buffer w_v.tilde and
+    the exit w_v.hat, named as in hampath_to_au.
 
-    The target exit w_hat_t steps into the target's own x1 slot, which
+    The target exit w_t.hat steps into the target's own x1 slot, which
     carries neither y nor z. A {y,z}-labeled self-loop there would
     discharge every pending release vacuously, so any simple
     source-target route would satisfy the formula. With the slot as
-    successor, a release still pending at w_hat_t fails, so the formula
+    successor, a release still pending at w_t.hat fails, so the formula
     holds only on routes through all n diamonds. The cycle
-    w_t_1 -> w_tilde_t -> w_hat_t keeps none of x1, y and z forever, so
+    w_t.1 -> w_t.tilde -> w_t.hat keeps none of x1, y and z forever, so
     it discharges nothing either.
     """
     n = len(instance.vertices)
@@ -417,17 +427,17 @@ def hampath_to_ar(instance: HampathInstance) -> ReductionInstance:
     worlds = []
     edges = []
     for v in instance.vertices:
-        entry, buffer, exit_ = f"w_{v}", f"w_tilde_{v}", f"w_hat_{v}"
+        entry, buffer, exit_ = f"w_{v}", f"w_{v}.tilde", f"w_{v}.hat"
         worlds.append((entry, ["z", *slots]))
         for i in range(1, n + 1):
-            slot = f"w_{v}_{i}"
+            slot = f"w_{v}.{i}"
             worlds.append((slot, [f"x{i}"]))
             edges += [(entry, slot), (slot, buffer)]
         worlds.append((buffer, ["y", *slots]))
         worlds.append((exit_, ["y", "z"]))
         edges.append((buffer, exit_))
     edges += [
-        (f"w_hat_{u}", f"w_{v}")
+        (f"w_{u}.hat", f"w_{v}")
         for u, v in instance.edges
         if u != instance.target
     ]
@@ -437,9 +447,9 @@ def hampath_to_ar(instance: HampathInstance) -> ReductionInstance:
         # so dead exits drain into an unlabeled sink instead
         sink = _fresh_id("w_sink", {w for w, _ in worlds})
         worlds.append((sink, []))
-        edges += [(f"w_hat_{v}", sink) for v in dead]
+        edges += [(f"w_{v}.hat", sink) for v in dead]
         edges.append((sink, sink))
-    edges.append((f"w_hat_{instance.target}", f"w_{instance.target}_1"))
+    edges.append((f"w_{instance.target}.hat", f"w_{instance.target}.1"))
     model = KripkeModel.of(worlds, edges, f"w_{instance.source}")
     require_valid(model)
     phi: F.Formula = F.Top()

@@ -405,43 +405,35 @@ def existential_weakening(phi: F.Formula) -> F.Formula | None:
     on atoms only, so it survives adding worlds and edges: a structure
     that fails it has no submodel that satisfies phi.
 
-    Rebuilt bottom-up with an explicit stack; a node whose weakening
-    equals it is returned itself, so phi comes back unchanged (the same
-    object) when it has no A-operator. TestMayPass measures the may pass
-    against the prune this weakening gives.
+    Rebuilt bottom-up with an explicit stack. Equal formulas are one
+    object, so phi comes back itself when it has no A-operator.
+    TestMayPass measures the may pass against the prune this weakening
+    gives.
     """
-    weakened: dict[int, F.Formula] = {}  # id of a node -> its weakening
+    weakened: dict[F.Formula, F.Formula] = {}  # a node -> its weakening
     stack: list[tuple[F.Formula, bool]] = [(phi, False)]
     while stack:
         node, expanded = stack.pop()
-        key = id(node)
-        if key in weakened:  # a shared node, reached twice
+        if node in weakened:  # a shared node, reached twice
             continue
         if not expanded:
             if isinstance(node, F.Not):
                 if not isinstance(node.child, F.Atom):
                     # every ancestor of a None is None
                     return None
-                weakened[key] = node
+                weakened[node] = node
                 continue
             children = F._children(node)
             if not children:
-                weakened[key] = node
+                weakened[node] = node
                 continue
             stack.append((node, True))
             stack.extend((child, False) for child in children)
             continue
         kind = type(node)
         twin = _E_TWIN.get(kind, kind)
-        if isinstance(node, F.Unary):
-            child = weakened[id(node.child)]
-            unchanged = child is node.child
-            weakened[key] = node if twin is kind and unchanged else twin(child)
-        else:
-            left, right = weakened[id(node.left)], weakened[id(node.right)]
-            unchanged = left is node.left and right is node.right
-            weakened[key] = node if twin is kind and unchanged else twin(left, right)
-    return weakened[id(phi)]
+        weakened[node] = twin(*(weakened[child] for child in F._children(node)))
+    return weakened[phi]
 
 
 _E_KINDS = (F.EX, F.EF, F.EG, F.EU, F.ER)

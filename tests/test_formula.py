@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +25,7 @@ from ctlenum.formula import (
     substitute_atoms,
 )
 from ctlenum.modelcheck import check, compile_formula
+from ctlenum.reductions import HampathInstance, hampath_to_af
 from oracles import (
     existential_weakening,
     naive_check,
@@ -134,6 +140,48 @@ class TestParse:
         assert err.value.line == 2
         assert err.value.column == 1
         assert "expected" in str(err.value)
+
+
+class TestInterning:
+    def test_equal_formulas_are_one_object(self, square_digraph):
+        text = "AG (p -> A[!q U EX (p & q)])"
+        assert parse_formula(text) is parse_formula(text)
+        twin = HampathInstance(*dataclasses.astuple(square_digraph))
+        assert hampath_to_af(twin).formula is hampath_to_af(square_digraph).formula
+        assert F.Atom(name="p") is F.Atom("p")
+        assert F.AU(right=F.Atom("q"), left=F.Top()) is parse_formula("A[true U q]")
+
+    def test_copies_return_the_live_node(self):
+        phi = parse_formula("E[p U !AX (q | false)]")
+        assert pickle.loads(pickle.dumps(phi)) is phi
+        assert copy.copy(phi) is phi
+        assert copy.deepcopy(phi) is phi
+        assert dataclasses.replace(phi) is phi
+        assert dataclasses.replace(phi, left=F.Atom("q")) is parse_formula("E[q U !AX (q | false)]")
+
+    def test_bad_fields_still_raise(self):
+        with pytest.raises(TypeError):
+            F.Atom()
+        with pytest.raises(TypeError):
+            F.Atom("p", name="q")
+        with pytest.raises(TypeError):
+            F.Atom(label="p")
+
+    def test_compile_hits_for_an_equal_formula(self):
+        program = compile_formula(parse_formula("EF (p & AX q)"))
+        hits = compile_formula.cache_info().hits
+        again = F.EF(F.And(F.Atom("p"), F.AX(F.Atom("q"))))
+        assert compile_formula(again) is program and program.formula is again
+        assert compile_formula.cache_info().hits == hits + 1
+
+    def test_unheld_formula_is_collected(self):
+        live = len(F._LIVE)
+        phi = parse_formula("AG (interned_gone -> EF interned_gone_too)")
+        assert len(F._LIVE) == live + 6  # AG, |, !, EF and two atoms
+        ref = weakref.ref(phi)
+        del phi
+        assert ref() is None
+        assert len(F._LIVE) == live
 
 
 class TestRender:
@@ -323,14 +371,27 @@ class TestNegationNormalForm:
 
     def test_deep_chain_without_recursion(self):
         depth = 20000
-        phi: F.Formula = F.Atom("p")
-        for _ in range(depth):
-            phi = F.Not(F.AF(F.Not(F.EX(phi))))
+
+        def chain() -> F.Formula:
+            phi: F.Formula = F.Atom("deep_p")
+            for _ in range(depth):
+                phi = F.Not(F.AF(F.Not(F.EX(phi))))
+            return phi
+
+        live = len(F._LIVE)
+        phi = chain()
         node = F.negation_normal_form(phi)
         for _ in range(depth):
             assert type(node) is F.EG and type(node.child) is F.EX
             node = node.child.child
-        assert node == F.Atom("p")
+        assert node == F.Atom("deep_p")
+        # built twice, one object; dropped, the table shrinks back
+        again = chain()
+        assert again is phi and again == phi and hash(again) == hash(phi)
+        ref = weakref.ref(phi)
+        del phi, again, node
+        assert ref() is None
+        assert len(F._LIVE) == live
 
 
 class TestTrim:

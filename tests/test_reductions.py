@@ -51,6 +51,24 @@ def nnf_battery():
     return [parse_formula(t) for t in texts]
 
 
+def marker_named_cnfs():
+    """x & x^1 and random CNFs over variables named like another
+    variable's marker (x^0, x^1) or complement label (notx)."""
+    names = ["x", "notx", "x^0", "x^1", "notx^1"]
+    rng = random.Random(29)
+    texts = ["x & x^1"]
+    for _ in range(150):
+        clauses = [
+            " | ".join(
+                ("!" if rng.random() < 0.5 else "") + name
+                for name in rng.sample(names, rng.randint(1, 3))
+            )
+            for _ in range(rng.randint(1, 4))
+        ]
+        texts.append(" & ".join(f"({clause})" for clause in clauses))
+    return [parse_formula(t) for t in texts]
+
+
 def random_prop(rng, depth):
     """A random propositional formula over x1..x3, negation anywhere."""
     if depth == 0 or rng.random() < 0.2:
@@ -207,7 +225,7 @@ class TestSatToAg:
 
     @pytest.mark.parametrize("encoding", ["negation", "relabel"])
     def test_existence_equivalence(self, encoding):
-        for phi in nnf_battery()[::3]:
+        for phi in nnf_battery()[::3] + marker_named_cnfs():
             instance = sat_to_ag(phi, encoding=encoding)
             assert validate_model(instance.model) == []
             assert exists_submodel(instance.model, instance.formula) == (
@@ -315,8 +333,8 @@ class TestDiamondConstruction:
         labeled = {
             w.id: sorted(w.labels) for w in instance.model.worlds if w.labels
         }
-        assert labeled["w_hat_t"] == ["x_t"]
-        assert labeled["w_s_1"] == ["x1"]
+        assert labeled["w_t.hat"] == ["x_t"]
+        assert labeled["w_s.1"] == ["x1"]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_world_count(self, n):
@@ -344,9 +362,9 @@ class TestExtendedDiamondConstruction:
         assert render_formula(instance.formula) == expected
         labels = {w.id: sorted(w.labels) for w in instance.model.worlds}
         assert labels["w_s"] == ["x1", "x2", "x3", "x4", "z"]
-        assert labels["w_tilde_s"] == ["x1", "x2", "x3", "x4", "y"]
-        assert labels["w_hat_s"] == ["y", "z"]
-        assert labels["w_s_2"] == ["x2"]
+        assert labels["w_s.tilde"] == ["x1", "x2", "x3", "x4", "y"]
+        assert labels["w_s.hat"] == ["y", "z"]
+        assert labels["w_s.2"] == ["x2"]
 
     def test_k2_yes_instance(self):
         instance = hampath_to_ar(HampathInstance(("s", "t"), (("s", "t"),), "s", "t"))
@@ -386,6 +404,27 @@ class TestExistenceEquivalenceSweeps:
             assert exists_submodel(instance.model, instance.formula) == (
                 brute_hampath(digraph) is not None
             ), edges
+
+    @pytest.mark.parametrize(
+        "generator", [hampath_to_af, hampath_to_ax, hampath_to_au, hampath_to_ar]
+    )
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            (("a", "a_1"), ("a_1", "hat_a"), ("hat_a", "tilde_a")),
+            (("a", "hat_a"), ("a", "a_1"), ("a_1", "tilde_a"), ("tilde_a", "hat_a")),
+        ],
+        ids=["path", "no-path"],
+    )
+    def test_vertex_ids_like_derived_worlds(self, generator, edges):
+        # a_1 reads like a's first slot, hat_a and tilde_a like its exit
+        # and buffer under the former naming
+        digraph = HampathInstance(("a", "a_1", "hat_a", "tilde_a"), edges, "a", "tilde_a")
+        instance = generator(digraph)
+        assert validate_model(instance.model) == []
+        assert exists_submodel(instance.model, instance.formula) == (
+            brute_hampath(digraph) is not None
+        )
 
     def test_dead_end_inputs_still_validate(self):
         digraph = HampathInstance(("s", "a", "t"), (("s", "t"),), "s", "t")
